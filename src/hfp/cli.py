@@ -29,6 +29,7 @@ from .solver import (
     FullPower,
     SolveReport,
     StopRule,
+    TraceRow,
     check_power_regularity,
     reduce_variant,
     solve,
@@ -41,9 +42,7 @@ EXIT_PARSE = 2
 EXIT_BUDGET = 3
 EXIT_NUMERIC = 4
 
-TRACE_HEADER = (
-    "n,alpha,beta,step_norm,fix_residual,vi_residual,dist_to_reference,elapsed_ns"
-)
+TRACE_HEADER = ",".join(TraceRow._fields)  # a trace line is one TraceRow
 FLUSH_INTERVAL = 1000
 
 
@@ -59,21 +58,7 @@ def write_trace(path: str, report: SolveReport):
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(TRACE_HEADER + "\n")
         for i, row in enumerate(report.trace, start=1):
-            handle.write(
-                ",".join(
-                    (
-                        str(row.n),
-                        _fmt(row.alpha),
-                        _fmt(row.beta),
-                        _fmt(row.step_norm),
-                        _fmt(row.fix_residual),
-                        _fmt(row.vi_residual),
-                        _fmt(row.dist_to_reference),
-                        _fmt(row.elapsed_ns),
-                    )
-                )
-                + "\n"
-            )
+            handle.write(",".join(map(_fmt, row)) + "\n")
             if i % FLUSH_INTERVAL == 0:
                 handle.flush()
         handle.flush()

@@ -7,6 +7,7 @@ tolerance.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,21 +61,36 @@ def norm(a) -> float:
     return float(np.linalg.norm(np.asarray(a, dtype=float)))
 
 
+def _norm(v: np.ndarray) -> float:
+    """Kernel of :func:`norm` for a 1-d float array, bit-identical to it."""
+    return math.sqrt(float(v.dot(v)))
+
+
 class ConvexSet:
-    """Base for the closed convex set catalog.  Subclasses are immutable."""
+    """Base for the closed convex set catalog.  Subclasses are immutable.
+
+    The kernels ``_project`` and ``_distance`` take a finite ``(dim,)`` float
+    array on trust; ``project``, ``contains`` and :func:`distance` check it.
+    """
 
     dim: int
 
-    def project(self, x) -> np.ndarray:
+    def _checked(self, x) -> np.ndarray:
         x = vector(x)
         if x.size != self.dim:
             raise UsageError(
                 f"point dimension {x.size} does not match set dimension {self.dim}"
             )
-        return self._project(x)
+        return x
+
+    def project(self, x) -> np.ndarray:
+        return self._project(self._checked(x))
 
     def _project(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    def _distance(self, x: np.ndarray) -> float:
+        return _norm(x - self._project(x))
 
     def contains(self, x, tol: float = MEMBERSHIP_TOL) -> bool:
         return distance(self, x) <= tol
@@ -108,7 +124,7 @@ class Ball(ConvexSet):
 
     def _project(self, x):
         d = x - self.center
-        r = np.linalg.norm(d)
+        r = _norm(d)
         if r <= self.radius:
             return x.copy()
         return self.center + d * (self.radius / r)
@@ -212,7 +228,7 @@ class Intersection(ConvexSet):
                 shifted = cur + increments[i]
                 cur = member._project(shifted)
                 increments[i] = shifted - cur
-            change = float(np.linalg.norm(cur - prev))
+            change = _norm(cur - prev)
             if change <= self.tol:
                 return cur
         raise DykstraError(
@@ -244,8 +260,7 @@ def project(convex_set: ConvexSet, x) -> np.ndarray:
 
 def distance(convex_set: ConvexSet, x) -> float:
     """Distance from ``x`` to its projection onto ``convex_set``."""
-    x = vector(x)
-    return float(np.linalg.norm(x - convex_set.project(x)))
+    return convex_set._distance(convex_set._checked(x))
 
 
 def _ball_draw(dim: int, rng: np.random.Generator, radius: float) -> np.ndarray:

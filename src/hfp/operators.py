@@ -15,12 +15,12 @@ from typing import Callable, Optional
 import numpy as np
 
 from .geometry import (
+    MEMBERSHIP_TOL,
     ConvexSet,
     NumericError,
     UsageError,
     norm,
     sample,
-    vector,
 )
 
 CERT_TOL = 1e-9
@@ -118,14 +118,19 @@ def power(T: MappingHandle, n: int, x: np.ndarray) -> np.ndarray:
     """n-th iterate T^n x, via the closed form when the fixture ships one."""
     if n < 1:
         raise UsageError("power index must be a positive integer")
-    x = vector(x)
+    return _power(T, n, T.domain._checked(x))
+
+
+def _power(T: MappingHandle, n: int, x: np.ndarray) -> np.ndarray:
+    """Kernel of :func:`power`.  Raw iterates of a self-mapping are tested
+    for membership after every step; a non-finite one fails the test."""
     cf = T.meta.closed_form_power
     if cf is not None:
         return np.asarray(cf(n, x), dtype=float)
     y = x
     for k in range(1, n + 1):
         y = np.asarray(T.evaluate(y), dtype=float)
-        if T.maps_into_domain and not T.domain.contains(y):
+        if T.maps_into_domain and not T.domain._distance(y) <= MEMBERSHIP_TOL:
             raise NumericError(
                 f"iterate of {T.name} left its domain at power step {k}"
             )

@@ -174,12 +174,13 @@ def validate_raw(raw: RawConfig):
         if section not in raw:
             raise ProblemFileParseError(f"missing section [{section}]")
 
-    member_sections = set()
+    member_sections = []
     if raw["set"].get("kind") == "intersection":
         members = raw["set"].get("members", "").split()
         if not members:
             raise ProblemFileParseError("intersection needs a 'members' list")
-        member_sections = {f"set.{token}" for token in members}
+        # declaration order, so the first missing member is the one named
+        member_sections = list(dict.fromkeys(f"set.{token}" for token in members))
         for name in member_sections:
             if name not in raw:
                 raise ProblemFileParseError(f"missing member section [{name}]")
@@ -364,7 +365,11 @@ def _build_stop(pairs: Dict[str, str]) -> StopRule:
                 f"key {key!r} in [stop] is not a real number or 'none'"
             ) from exc
 
-    max_iters = int(pairs["max_iters"]) if "max_iters" in pairs else defaults.max_iters
+    max_iters = defaults.max_iters
+    if "max_iters" in pairs:
+        max_iters = _int("stop", pairs, "max_iters")
+        if max_iters < 1:
+            raise ProblemFileSemanticError(f"stop.max_iters = {max_iters} is below 1")
     return StopRule(
         max_iters=max_iters,
         tol_step=tol("tol_step", defaults.tol_step),

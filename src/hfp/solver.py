@@ -16,7 +16,7 @@ from __future__ import annotations
 import dataclasses
 import time
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import Callable, List, NamedTuple, Optional
 
 import numpy as np
 
@@ -27,12 +27,13 @@ from .geometry import (
     ProblemDefinitionError,
     UsageError,
     WholeSpace,
+    _norm,
     norm,
     sample,
     vector,
 )
 from .fixtures import identity_map
-from .operators import MappingHandle, nu_constant, power
+from .operators import MappingHandle, _power, nu_constant, power
 from .schedules import Schedule, validate_schedule
 
 FIX_POINT_TOL = 1e-6
@@ -136,8 +137,7 @@ class StopRule:
     tol_vi: Optional[float] = 1e-8
 
 
-@dataclass(frozen=True)
-class TraceRow:
+class TraceRow(NamedTuple):
     n: int
     alpha: float
     beta: float
@@ -184,6 +184,11 @@ def validate_problem(p: ProblemSpec) -> List[str]:
     if not p.C.contains(p.x1):
         violations.append("initial point x1 is not in C")
 
+    if isinstance(p.mode, FullPower) and not p.T.maps_into_domain:
+        violations.append(
+            f"FullPower mode needs T^n, but T = {p.T.name} is not a self-mapping"
+        )
+
     if isinstance(p.C, Intersection):
         try:
             p.C.feasible_point()
@@ -229,7 +234,7 @@ def _apply_mode(p: ProblemSpec, n: int, y: np.ndarray, budget: _PowerBudget):
     if isinstance(p.mode, FullPower):
         if p.T.meta.closed_form_power is None:
             budget.charge(n)
-        return power(p.T, n, y)
+        return _power(p.T, n, y)
     if isinstance(p.mode, Single):
         return np.asarray(p.T.evaluate(y), dtype=float)
     if isinstance(p.mode, MappingSequence):
@@ -243,10 +248,16 @@ def step(p: ProblemSpec, n: int, x: np.ndarray, budget: Optional[_PowerBudget] =
     beta_n = 0 and alpha_n = 0 short-circuit their convex combinations so the
     algebraic reductions (y_n = x_n, x_{n+1} = P_C[T^n y_n]) hold bit-exactly.
     """
+    if n < 1:
+        raise UsageError("iteration index must be a positive integer")
     if budget is None:
         budget = _PowerBudget(p.power_budget)
-    alpha = float(p.schedule.alpha(n))
-    beta = float(p.schedule.beta(n))
+    alpha, beta = float(p.schedule.alpha(n)), float(p.schedule.beta(n))
+    return _step(p, n, p.C._checked(x), alpha, beta, budget)
+
+
+def _step(p, n, x, alpha, beta, budget) -> np.ndarray:
+    """Kernel of :func:`step`; a non-finite point to project is a NumericError."""
     if beta == 0.0:
         y = x
     else:
@@ -260,21 +271,27 @@ def step(p: ProblemSpec, n: int, x: np.ndarray, budget: Optional[_PowerBudget] =
             + z
             - alpha * p.mu * np.asarray(p.F.evaluate(z), dtype=float)
         )
-    return p.C.project(t)
+    if t.shape != x.shape or not np.isfinite(t).all():
+        raise NumericError(
+            f"iteration {n} produced {t.tolist()}, not a finite point of R^{x.size}"
+        )
+    return p.C._project(t)
 
 
 def vi_residual(x, p: ProblemSpec, probes: Optional[List[np.ndarray]] = None) -> float:
     """max(0, max_y <(rho*V - mu*F) x, y - x>) over fixed-point probes."""
     if p.fix_set is None:
         raise UsageError("vi_residual needs a fix_set on the problem")
-    x = vector(x)
     if probes is None:
         probes = probe_points(p.fix_set, p.seed)
+    return _vi_residual(p.C._checked(x), p, np.vstack(probes))
+
+
+def _vi_residual(x: np.ndarray, p: ProblemSpec, probe_mat: np.ndarray) -> float:
     w = p.rho * np.asarray(p.V.evaluate(x), dtype=float) - p.mu * np.asarray(
         p.F.evaluate(x), dtype=float
     )
-    probe_mat = probes if isinstance(probes, np.ndarray) else np.vstack(probes)
-    worst = float(np.max(probe_mat @ w)) - float(np.dot(x, w))
+    worst = float((probe_mat @ w).max()) - float(x.dot(w))
     return max(0.0, worst)
 
 
@@ -304,24 +321,14 @@ def solve(
     n = 0
     for n in range(1, stop.max_iters + 1):
         t0 = time.perf_counter_ns() if collect_timing else None
-        x_next = step(p, n, x, budget)
-        step_norm = norm(x_next - x)
-        fix_res = norm(x_next - np.asarray(p.T.evaluate(x_next), dtype=float))
-        vi = vi_residual(x_next, p, probes) if probes is not None else None
-        dist = norm(x_next - p.reference) if p.reference is not None else None
+        alpha, beta = float(p.schedule.alpha(n)), float(p.schedule.beta(n))
+        x_next = _step(p, n, x, alpha, beta, budget)
+        step_norm = _norm(x_next - x)
+        fix_res = _norm(x_next - np.asarray(p.T.evaluate(x_next), dtype=float))
+        vi = _vi_residual(x_next, p, probes) if probes is not None else None
+        dist = _norm(x_next - p.reference) if p.reference is not None else None
         elapsed = time.perf_counter_ns() - t0 if collect_timing else None
-        trace.append(
-            TraceRow(
-                n=n,
-                alpha=float(p.schedule.alpha(n)),
-                beta=float(p.schedule.beta(n)),
-                step_norm=step_norm,
-                fix_residual=fix_res,
-                vi_residual=vi,
-                dist_to_reference=dist,
-                elapsed_ns=elapsed,
-            )
-        )
+        trace.append(TraceRow(n, alpha, beta, step_norm, fix_res, vi, dist, elapsed))
         x = x_next
         if stop.tol_step is not None and step_norm <= stop.tol_step:
             reason = "step"

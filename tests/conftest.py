@@ -1,3 +1,6 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -14,6 +17,14 @@ from hfp.schedules import power_schedule
 from hfp.solver import ConvexSubset, FullPower, ProblemSpec, StopRule
 
 SET_KINDS = ("wholespace", "ball", "box", "halfspace", "hyperplane", "intersection")
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def child_env(**extra):
+    """Environment for a child interpreter that imports hfp from this checkout."""
+    env = dict(os.environ, **extra)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env
 
 
 def random_set(kind, rng, dim=None):

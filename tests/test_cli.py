@@ -1,11 +1,46 @@
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from hfp import cli
+from conftest import child_env
 
 PROBLEMS_DIR = Path(__file__).resolve().parent.parent / "problems"
+
+# T = 3x has no fixed point but 0 and is not a self-mapping of R^2
+EXPANDING = """\
+[problem]
+dimension = 2
+rho = 0.0
+mu = 1.0
+variant = full_power
+x1 = 1 1
+
+[set]
+kind = wholespace
+
+[T]
+fixture = contraction
+k = 3
+
+[S]
+fixture = identity
+
+[V]
+fixture = zero
+
+[F]
+fixture = identity
+
+[schedule]
+alpha0 = 0.5
+p = 0.5
+beta0 = 1.0
+q = 0.9
+"""
 
 
 @pytest.fixture
@@ -13,6 +48,23 @@ def minnorm(tmp_path):
     dst = tmp_path / "minnorm.cfg"
     shutil.copy(PROBLEMS_DIR / "minnorm.cfg", dst)
     return str(dst)
+
+
+@pytest.fixture
+def expanding(tmp_path):
+    dst = tmp_path / "expanding.cfg"
+    dst.write_text(EXPANDING)
+    return str(dst)
+
+
+def hfp_bench(*argv, cwd):
+    """``hfp-bench`` in a fresh interpreter: (exit code, stdout, stderr)."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "hfp.cli", *map(str, argv)],
+        cwd=cwd, env=child_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert "Traceback" not in proc.stderr
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 class TestValidate:
@@ -106,6 +158,29 @@ class TestRun:
         assert code == cli.EXIT_SEMANTIC
         assert "x1" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "value, code, stream",
+        [("abc", cli.EXIT_PARSE, "parse error"), ("-5", cli.EXIT_SEMANTIC, "max_iters")],
+    )
+    def test_bad_iteration_budget(self, minnorm, tmp_path, value, code, stream):
+        rc, _, err = hfp_bench("run", minnorm, "--set", f"stop.max_iters={value}", cwd=tmp_path)
+        assert rc == code
+        assert stream in err
+        assert not (tmp_path / "minnorm.trace.csv").exists()
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_full_power_needs_a_self_mapping(self, expanding, tmp_path, command):
+        rc, out, _ = hfp_bench(command, expanding, cwd=tmp_path)
+        assert rc == cli.EXIT_SEMANTIC
+        assert "violation: FullPower mode needs T^n" in out
+
+    def test_nonfinite_iterate_is_a_numeric_failure(self, expanding, tmp_path):
+        rc, _, err = hfp_bench(
+            "run", expanding, "--set", "problem.variant=wang_xu", cwd=tmp_path
+        )
+        assert rc == cli.EXIT_NUMERIC
+        assert "numeric failure:" in err
+
 
 class TestCompare:
     def test_equivalent_variants_bit_identical(self, minnorm, tmp_path, capsys):
@@ -141,6 +216,13 @@ class TestCompare:
     def test_unknown_variant(self, minnorm, capsys):
         code = cli.main(["compare", minnorm, "fancy", "--max-iters", "10"])
         assert code == cli.EXIT_SEMANTIC
+
+    def test_zero_iteration_budget(self, minnorm, tmp_path):
+        rc, _, err = hfp_bench(
+            "compare", minnorm, "full_power", "wang_xu", "--max-iters", "0", cwd=tmp_path
+        )
+        assert rc == cli.EXIT_SEMANTIC
+        assert "max_iters" in err
 
 
 class TestSweep:

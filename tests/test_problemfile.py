@@ -1,3 +1,5 @@
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +16,7 @@ from hfp.problemfile import (
     serialize,
 )
 from hfp.solver import ConvexSubset, FullPower, Single, Singleton
+from conftest import child_env
 
 PROBLEMS_DIR = Path(__file__).resolve().parent.parent / "problems"
 
@@ -119,6 +122,31 @@ class TestParsing:
         )
         with pytest.raises(ProblemFileParseError, match=r"set\.a"):
             parse_problem_text(text)
+
+    @pytest.mark.parametrize("hash_seed", ["3", "4", "5"])
+    def test_missing_member_named_in_declaration_order(self, hash_seed):
+        # string hashing must not decide which missing member is reported
+        text = MINIMAL.replace(
+            "kind = ball\ncenter = 0 0\nradius = 10",
+            "kind = intersection\nmembers = a b",
+        )
+        script = (
+            "import sys\n"
+            "from hfp.problemfile import ProblemFileParseError, parse_problem_text\n"
+            "try:\n"
+            "    parse_problem_text(sys.stdin.read())\n"
+            "except ProblemFileParseError as exc:\n"
+            "    print(exc)\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", script],
+            input=text,
+            env=child_env(PYTHONHASHSEED=hash_seed),
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+        assert out == "missing member section [set.a]\n"
 
 
 class TestOverrides:

@@ -204,6 +204,28 @@ class TestSolve:
         with pytest.raises(NumericError, match="power budget"):
             solve(spec, budget_stop(50))
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_nonfinite_iterate_raises_numeric_error(self):
+        # x_{n+1} = 3 (1 - alpha_n) x_n overflows, then turns into inf - inf
+        C = WholeSpace(2)
+        spec = make_spec(
+            C=C,
+            T=contraction(C, 3.0),
+            mode=Single(),
+            fix_set=None,
+            schedule=power_schedule(0.5, 0.5, 1.0, 0.9),
+        )
+        with pytest.raises(NumericError, match="not a finite point"):
+            solve(spec, budget_stop(10**4))
+
+    def test_step_checks_its_input(self, minnorm_problem):
+        for bad in ([np.nan, 1.0], [1.0, 2.0, 3.0]):
+            with pytest.raises(UsageError):
+                step(minnorm_problem, 1, bad)
+        with pytest.raises(UsageError):
+            step(minnorm_problem, 0, minnorm_problem.x1)
+
 
 class TestViResidual:
     def test_singleton_at_solution(self):
