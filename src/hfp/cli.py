@@ -120,14 +120,7 @@ def _certifier_violations(built: BuiltProblem, samples: int = 200) -> List[str]:
 
 
 def cmd_validate(args) -> int:
-    try:
-        built = _load(args.problem, args.set or [])
-    except ProblemFileParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except ProblemFileSemanticError as exc:
-        print(f"invalid problem: {exc}", file=sys.stderr)
-        return EXIT_SEMANTIC
+    built = _load(args.problem, args.set or [])
     violations = validate_problem(built.spec)
     violations.extend(_certifier_violations(built))
     if violations:
@@ -156,14 +149,7 @@ def _summary(report: SolveReport, trace_path: str, quiet: bool):
 
 
 def cmd_run(args) -> int:
-    try:
-        built = _load(args.problem, args.set or [], args)
-    except ProblemFileParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except ProblemFileSemanticError as exc:
-        print(f"invalid problem: {exc}", file=sys.stderr)
-        return EXIT_SEMANTIC
+    built = _load(args.problem, args.set or [], args)
     spec, stop = built.spec, built.stop
     violations = validate_problem(spec)
     if violations:
@@ -178,11 +164,7 @@ def cmd_run(args) -> int:
                 "guarantee does not apply",
                 file=sys.stderr,
             )
-    try:
-        report = solve(spec, stop, collect_timing=args.timing, check_valid=False)
-    except NumericError as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+    report = solve(spec, stop, collect_timing=args.timing, check_valid=False)
     trace_path = args.trace_out or built.trace_path or str(
         Path(args.problem).with_suffix(".trace.csv")
     )
@@ -192,18 +174,11 @@ def cmd_run(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    try:
-        built = _load(args.problem, args.set or [], args)
-        base_raw = dict(built.raw)
-        base_raw["problem"] = dict(base_raw["problem"])
-        base_raw["problem"]["variant"] = "full_power"
-        base = build_problem(base_raw)
-    except ProblemFileParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except ProblemFileSemanticError as exc:
-        print(f"invalid problem: {exc}", file=sys.stderr)
-        return EXIT_SEMANTIC
+    built = _load(args.problem, args.set or [], args)
+    base_raw = dict(built.raw)
+    base_raw["problem"] = dict(base_raw["problem"])
+    base_raw["problem"]["variant"] = "full_power"
+    base = build_problem(base_raw)
 
     specs = {}
     for variant in args.variants:
@@ -257,14 +232,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    try:
-        built = _load(args.problem, args.set or [], args)
-    except ProblemFileParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except ProblemFileSemanticError as exc:
-        print(f"invalid problem: {exc}", file=sys.stderr)
-        return EXIT_SEMANTIC
+    built = _load(args.problem, args.set or [], args)
 
     if args.q_values:
         grid = sorted((p, q) for p in args.p_values for q in args.q_values)
@@ -375,7 +343,17 @@ def main(argv: Optional[List[str]] = None) -> int:
         "compare": cmd_compare,
         "sweep": cmd_sweep,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except ProblemFileParseError as exc:
+        print(f"parse error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    except ProblemFileSemanticError as exc:
+        print(f"invalid problem: {exc}", file=sys.stderr)
+        return EXIT_SEMANTIC
+    except NumericError as exc:
+        print(f"numeric failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
 
 
 def entry():

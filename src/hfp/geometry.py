@@ -142,6 +142,9 @@ class Box(ConvexSet):
             raise ProblemDefinitionError("box bounds must share a dimension")
         if np.any(self.lower > self.upper):
             raise ProblemDefinitionError("box requires lower <= upper componentwise")
+        with np.errstate(over="ignore"):  # sampling scales by upper - lower
+            if not np.isfinite(self.upper - self.lower).all():
+                raise ProblemDefinitionError("box is too wide: upper - lower overflows")
 
     @property
     def dim(self):
@@ -265,10 +268,10 @@ def distance(convex_set: ConvexSet, x) -> float:
 
 def _ball_draw(dim: int, rng: np.random.Generator, radius: float) -> np.ndarray:
     direction = rng.standard_normal(dim)
-    length = np.linalg.norm(direction)
+    length = _norm(direction)
     if length == 0.0:
         direction = np.ones(dim)
-        length = np.linalg.norm(direction)
+        length = _norm(direction)
     return direction / length * radius * rng.random() ** (1.0 / dim)
 
 
@@ -280,11 +283,13 @@ def sample(convex_set: ConvexSet, rng: np.random.Generator) -> np.ndarray:
     onto the set, so sampling stays bounded and reproducible.
     """
     if isinstance(convex_set, Box):
-        return rng.uniform(convex_set.lower, convex_set.upper)
+        # rng.uniform(lower, upper), draw for draw, without its per-call checks
+        lower = convex_set.lower
+        return lower + (convex_set.upper - lower) * rng.random(convex_set.dim)
     if isinstance(convex_set, Ball):
         return convex_set.center + _ball_draw(convex_set.dim, rng, convex_set.radius)
     raw = _ball_draw(convex_set.dim, rng, SAMPLING_RADIUS)
-    return convex_set.project(raw)
+    return convex_set._project(raw)
 
 
 def sample_ambient(dim: int, rng: np.random.Generator) -> np.ndarray:

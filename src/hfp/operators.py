@@ -4,7 +4,8 @@ A certifier draws seeded random pairs from the mapping's domain and checks a
 declared inequality (Lipschitz bound, strong monotonicity, near
 nonexpansiveness, combined-operator monotonicity, contraction factor).  A
 passing certificate is sampled evidence, not a proof; a failing one always
-carries a witness pair that re-violates the inequality on direct evaluation.
+carries a witness pair that re-violates the inequality, or again gives a
+non-finite margin, on direct evaluation.
 """
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ from .geometry import (
     ConvexSet,
     NumericError,
     UsageError,
-    norm,
+    _norm,
     sample,
 )
 
@@ -121,14 +122,15 @@ def power(T: MappingHandle, n: int, x: np.ndarray) -> np.ndarray:
     return _power(T, n, T.domain._checked(x))
 
 
-def _power(T: MappingHandle, n: int, x: np.ndarray) -> np.ndarray:
+def _power(T: MappingHandle, n: int, x: np.ndarray, start: int = 0) -> np.ndarray:
     """Kernel of :func:`power`.  Raw iterates of a self-mapping are tested
-    for membership after every step; a non-finite one fails the test."""
+    for membership after every step; a non-finite one fails the test.  Its
+    error counts steps from ``start + 1``, for a walk resumed at T^start x."""
     cf = T.meta.closed_form_power
     if cf is not None:
         return np.asarray(cf(n, x), dtype=float)
     y = x
-    for k in range(1, n + 1):
+    for k in range(start + 1, start + n + 1):
         y = np.asarray(T.evaluate(y), dtype=float)
         if T.maps_into_domain and not T.domain._distance(y) <= MEMBERSHIP_TOL:
             raise NumericError(
@@ -137,17 +139,65 @@ def _power(T: MappingHandle, n: int, x: np.ndarray) -> np.ndarray:
     return y
 
 
-def _sample_pair(domain: ConvexSet, rng: np.random.Generator):
-    x = sample(domain, rng)
-    for _ in range(64):
-        y = sample(domain, rng)
-        if norm(x - y) > 0.0:
-            return x, y
-    raise UsageError("degenerate domain: cannot sample two distinct points")
+def _powers(T: MappingHandle, ns, x: np.ndarray) -> dict:
+    """{n: T^n x} for ascending positive ``ns``: one closed-form call each, or
+    one raw walk to max(ns) that matches separate :func:`_power` calls."""
+    if T.meta.closed_form_power is not None:
+        return {n: _power(T, n, x) for n in ns}
+    kept, done = {}, 0
+    for n in ns:
+        x = kept[n] = _power(T, n - done, x, done)
+        done = n
+    return kept
 
 
-def _as_witness(x: np.ndarray, y: np.ndarray) -> tuple:
-    return (tuple(float(v) for v in x), tuple(float(v) for v in y))
+def _sample_pairs(domain: ConvexSet, samples: int, seed: int):
+    """``samples`` seeded pairs of distinct points, as two ``(samples, dim)``
+    arrays whose rows are the pairs; each y gets 64 tries to differ from x."""
+    if samples < 2:
+        raise UsageError("need at least two samples")
+    rng = np.random.default_rng(seed)
+    X, Y = np.empty((2, samples, domain.dim))
+    for i in range(samples):
+        x = X[i] = sample(domain, rng)
+        for _ in range(64):
+            y = Y[i] = sample(domain, rng)
+            if _norm(x - y) > 0.0:
+                break
+        else:
+            raise UsageError("degenerate domain: cannot sample two distinct points")
+    return X, Y
+
+
+def _rows(f: Callable, Z: np.ndarray, shape: Optional[tuple] = None) -> np.ndarray:
+    """``f`` applied to each row of ``Z``, stacked; each result has ``shape``,
+    by default that of a row of ``Z``."""
+    item = np.dtype((float, shape or Z.shape[1:]))
+    return np.fromiter(map(f, Z), dtype=item, count=len(Z))
+
+
+def _norms(D: np.ndarray) -> np.ndarray:
+    """Euclidean norms along the last axis, bit-identical to a per-row ``norm``."""
+    return np.sqrt(np.vecdot(D, D))
+
+
+def _certify(margins: np.ndarray, X: np.ndarray, Y: np.ndarray, seed: int) -> Certificate:
+    """The certificate of per-pair margins, shape ``(samples,)`` or
+    ``(samples, n_max)``.
+
+    The worst margin is the first non-finite one, which always fails, or else
+    the first maximum in row-major order.  Its row is the witness pair and,
+    for a 2-d array, its column + 1 the witness power.
+    """
+    flat = margins.ravel()
+    bad = ~np.isfinite(flat)
+    i = int(np.argmax(bad)) if bad.any() else int(np.argmax(flat))
+    worst = float(flat[i])
+    row, col = divmod(i, flat.size // len(X))
+    witness = (tuple(X[row].tolist()), tuple(Y[row].tolist()))
+    power = col + 1 if margins.ndim == 2 else None
+    passed = math.isfinite(worst) and worst <= CERT_TOL
+    return Certificate(passed, worst, witness, len(X), seed, power)
 
 
 def certify_lipschitz(
@@ -159,43 +209,23 @@ def certify_lipschitz(
     ``||Mx - My|| - claimed * ||x - y||``; the certificate passes when it
     stays at or below 1e-9.
     """
-    if samples < 2:
-        raise UsageError("need at least two samples")
     if claimed < 0:
         raise UsageError("claimed Lipschitz constant must be nonnegative")
-    rng = np.random.default_rng(seed)
-    worst = -math.inf
-    witness = None
-    for _ in range(samples):
-        x, y = _sample_pair(M.domain, rng)
-        margin = norm(np.asarray(M.evaluate(x)) - np.asarray(M.evaluate(y)))
-        margin -= claimed * norm(x - y)
-        if margin > worst:
-            worst = margin
-            witness = _as_witness(x, y)
-    return Certificate(worst <= CERT_TOL, worst, witness, samples, seed)
+    X, Y = _sample_pairs(M.domain, samples, seed)
+    D = _rows(M.evaluate, X) - _rows(M.evaluate, Y)
+    return _certify(_norms(D) - claimed * _norms(X - Y), X, Y, seed)
 
 
 def certify_strong_monotone(
     F: MappingHandle, claimed: float, samples: int = 10**4, seed: int = 0
 ) -> Certificate:
     """Check <Fx - Fy, x - y> >= claimed * ||x - y||^2 on seeded pairs."""
-    if samples < 2:
-        raise UsageError("need at least two samples")
     if claimed <= 0:
         raise UsageError("claimed modulus must be positive")
-    rng = np.random.default_rng(seed)
-    worst = -math.inf
-    witness = None
-    for _ in range(samples):
-        x, y = _sample_pair(F.domain, rng)
-        d = x - y
-        gap = float(np.dot(np.asarray(F.evaluate(x)) - np.asarray(F.evaluate(y)), d))
-        margin = claimed * float(np.dot(d, d)) - gap
-        if margin > worst:
-            worst = margin
-            witness = _as_witness(x, y)
-    return Certificate(worst <= CERT_TOL, worst, witness, samples, seed)
+    X, Y = _sample_pairs(F.domain, samples, seed)
+    D = X - Y
+    gaps = np.vecdot(_rows(F.evaluate, X) - _rows(F.evaluate, Y), D)
+    return _certify(claimed * np.vecdot(D, D) - gaps, X, Y, seed)
 
 
 def certify_nearly_nonexpansive(
@@ -210,22 +240,15 @@ def certify_nearly_nonexpansive(
         raise UsageError("near-nonexpansiveness needs a self-mapping of the domain")
     if n_max < 1:
         raise UsageError("n_max must be at least 1")
-    if samples < 2:
-        raise UsageError("need at least two samples")
-    rng = np.random.default_rng(seed)
-    worst = -math.inf
-    witness = None
-    witness_power = None
-    for _ in range(samples):
-        x, y = _sample_pair(T.domain, rng)
-        base = norm(x - y)
-        for n in range(1, n_max + 1):
-            margin = norm(power(T, n, x) - power(T, n, y)) - base - seq(n)
-            if margin > worst:
-                worst = margin
-                witness = _as_witness(x, y)
-                witness_power = n
-    return Certificate(worst <= CERT_TOL, worst, witness, samples, seed, witness_power)
+    X, Y = _sample_pairs(T.domain, samples, seed)
+    ns = range(1, n_max + 1)
+
+    def powers(Z):  # (samples, n_max, dim): T^n z for each row z and n = 1..n_max
+        return _rows(lambda z: list(_powers(T, ns, z).values()), Z, (n_max, Z.shape[1]))
+
+    D = powers(X) - powers(Y)
+    margins = _norms(D) - _norms(X - Y)[:, None] - np.array([seq(n) for n in ns])
+    return _certify(margins, X, Y, seed)
 
 
 def certify_combined_monotone(
@@ -243,24 +266,17 @@ def certify_combined_monotone(
         raise UsageError("F must declare Lipschitz and strong-monotonicity constants")
     if gamma is None:
         raise UsageError("V must declare a Lipschitz constant")
-    if samples < 2:
-        raise UsageError("need at least two samples")
     if not 0 <= rho * gamma < mu * eta:
         raise UsageError("need 0 <= rho*gamma < mu*eta for a positive modulus")
     modulus = mu * eta - rho * gamma
-    rng = np.random.default_rng(seed)
-    worst = -math.inf
-    witness = None
-    for _ in range(samples):
-        x, y = _sample_pair(F.domain, rng)
-        d = x - y
-        gx = mu * np.asarray(F.evaluate(x)) - rho * np.asarray(V.evaluate(x))
-        gy = mu * np.asarray(F.evaluate(y)) - rho * np.asarray(V.evaluate(y))
-        margin = modulus * float(np.dot(d, d)) - float(np.dot(gx - gy, d))
-        if margin > worst:
-            worst = margin
-            witness = _as_witness(x, y)
-    return Certificate(worst <= CERT_TOL, worst, witness, samples, seed)
+    X, Y = _sample_pairs(F.domain, samples, seed)
+    D = X - Y
+
+    def g(Z):
+        return mu * _rows(F.evaluate, Z) - rho * _rows(V.evaluate, Z)
+
+    margins = modulus * np.vecdot(D, D) - np.vecdot(g(X) - g(Y), D)
+    return _certify(margins, X, Y, seed)
 
 
 def nu_constant(mu: float, eta: float, lip: float) -> float:
@@ -289,18 +305,8 @@ def certify_yamada_contraction(
         raise UsageError("F must declare Lipschitz and strong-monotonicity constants")
     if not 0 < lam < 1:
         raise UsageError("lambda must lie strictly inside (0, 1)")
-    if samples < 2:
-        raise UsageError("need at least two samples")
     factor = 1.0 - lam * nu_constant(mu, eta, lip)
-    rng = np.random.default_rng(seed)
-    worst = -math.inf
-    witness = None
-    for _ in range(samples):
-        x, y = _sample_pair(F.domain, rng)
-        gx = x - lam * mu * np.asarray(F.evaluate(x))
-        gy = y - lam * mu * np.asarray(F.evaluate(y))
-        margin = norm(gx - gy) - factor * norm(x - y)
-        if margin > worst:
-            worst = margin
-            witness = _as_witness(x, y)
-    return Certificate(worst <= CERT_TOL, worst, witness, samples, seed)
+    X, Y = _sample_pairs(F.domain, samples, seed)
+    GX = X - lam * mu * _rows(F.evaluate, X)
+    GY = Y - lam * mu * _rows(F.evaluate, Y)
+    return _certify(_norms(GX - GY) - factor * _norms(X - Y), X, Y, seed)

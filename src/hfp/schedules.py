@@ -175,11 +175,11 @@ def scalar_recursion(x1, alpha, beta, N: int):
     avals = _values(alpha, N)
     bvals = _values(beta, N)
     x = x1
-    trajectory = [x]
-    append = trajectory.append
-    for a, b in zip(avals, bvals):
+    # preallocated: growing the list by appends copies it on some reallocs
+    trajectory = [x] * (N + 1)
+    for n, a, b in zip(range(1, N + 1), avals, bvals):
         if not 0 <= a <= 1:
             raise UsageError(f"alpha value {a} is outside [0, 1]")
         x = (1 - a) * x + a * b
-        append(x)
+        trajectory[n] = x
     return x, trajectory

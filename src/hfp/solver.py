@@ -33,7 +33,7 @@ from .geometry import (
     vector,
 )
 from .fixtures import identity_map
-from .operators import MappingHandle, _power, nu_constant, power
+from .operators import MappingHandle, _power, _powers, nu_constant
 from .schedules import Schedule, validate_schedule
 
 FIX_POINT_TOL = 1e-6
@@ -183,6 +183,13 @@ def validate_problem(p: ProblemSpec) -> List[str]:
 
     if not p.C.contains(p.x1):
         violations.append("initial point x1 is not in C")
+
+    lip_T = p.T.meta.lipschitz
+    if p.T.meta.nearly_seq is None and (lip_T is None or lip_T > 1.0):
+        violations.append(
+            f"T = {p.T.name} declares neither a nearness sequence nor a Lipschitz "
+            "constant <= 1, so it is not known to be nearly nonexpansive"
+        )
 
     if isinstance(p.mode, FullPower) and not p.T.maps_into_domain:
         violations.append(
@@ -362,15 +369,18 @@ def check_power_regularity(
 
     Same heuristic as the schedule validator: both quantities must be below
     ``trend_tol`` at the horizon and nonincreasing across the three probes
-    n in {horizon/100, horizon/10, horizon}.
+    n in {horizon/100, horizon/10, horizon}.  A raw T walks once per probe.
     """
     if not T.maps_into_domain:
         raise UsageError("power regularity needs a self-mapping of the domain")
+    if horizon < 2:
+        raise UsageError("the regularity horizon must be at least 2")
     ns = [max(horizon // 100, 2), max(horizon // 10, 2), horizon]
     report = RegularityReport(horizon=horizon)
     for x in probes:
-        x = vector(x)
-        diffs = [norm(power(T, n, x) - power(T, n - 1, x)) for n in ns]
+        x = T.domain._checked(x)
+        iterates = _powers(T, sorted({m for n in ns for m in (n - 1, n)}), x)
+        diffs = [_norm(iterates[n] - iterates[n - 1]) for n in ns]
         ratios = [d / float(s.alpha(n)) for d, n in zip(diffs, ns)]
         ok = (
             diffs[-1] < trend_tol

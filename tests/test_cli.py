@@ -43,6 +43,16 @@ q = 0.9
 """
 
 
+# T = x is nonexpansive and rho*gamma = 0.1 < nu = 1, so every hypothesis holds,
+# but V x1 = 10 * 1e308 overflows in the first iteration
+OVERFLOWING = (
+    EXPANDING.replace("rho = 0.0", "rho = 0.01")
+    .replace("x1 = 1 1", "x1 = 1e308 1e308")
+    .replace("k = 3", "k = 1")
+    .replace("[V]\nfixture = zero", "[V]\nfixture = contraction\nk = 10")
+)
+
+
 @pytest.fixture
 def minnorm(tmp_path):
     dst = tmp_path / "minnorm.cfg"
@@ -174,12 +184,23 @@ class TestRun:
         assert rc == cli.EXIT_SEMANTIC
         assert "violation: FullPower mode needs T^n" in out
 
-    def test_nonfinite_iterate_is_a_numeric_failure(self, expanding, tmp_path):
-        rc, _, err = hfp_bench(
-            "run", expanding, "--set", "problem.variant=wang_xu", cwd=tmp_path
-        )
+    def test_nonfinite_iterate_is_a_numeric_failure(self, tmp_path):
+        overflowing = tmp_path / "overflowing.cfg"
+        overflowing.write_text(OVERFLOWING)
+        assert hfp_bench("validate", overflowing, cwd=tmp_path)[0] == cli.EXIT_OK
+        rc, _, err = hfp_bench("run", overflowing, cwd=tmp_path)
         assert rc == cli.EXIT_NUMERIC
-        assert "numeric failure:" in err
+        assert "numeric failure: iteration 1 produced [inf, inf]" in err
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_t_must_be_nearly_nonexpansive(self, expanding, tmp_path, command):
+        # T = 3x declares L = 3 and no nearness sequence; wang_xu applies T once
+        rc, out, _ = hfp_bench(
+            command, expanding, "--set", "problem.variant=wang_xu", cwd=tmp_path
+        )
+        assert rc == cli.EXIT_SEMANTIC
+        assert "violation: T = contraction(3.0) declares neither" in out
+        assert not (tmp_path / "expanding.trace.csv").exists()
 
 
 class TestCompare:
@@ -309,3 +330,26 @@ class TestSweep:
         )
         assert code == cli.EXIT_OK
         assert len(out.read_text().splitlines()) == 3
+
+
+@pytest.mark.parametrize(
+    "argv, code, stream, text",
+    [
+        (["validate", "{minnorm}"], cli.EXIT_OK, "out", "valid"),
+        (["validate", "{minnorm}", "--set", "problem.mu=3"], cli.EXIT_SEMANTIC, "out", "violation:"),
+        (["validate", "{minnorm}", "--set", "set.radius=-1"], cli.EXIT_SEMANTIC, "err", "invalid problem:"),
+        (["run", "{minnorm}", "--set", "problem.muu=3"], cli.EXIT_PARSE, "err", "parse error:"),
+        (["compare", "{minnorm}", "wang_xu", "--set", "stop.max_iters=x"], cli.EXIT_PARSE, "err", "parse error:"),
+        (["sweep", "{minnorm}", "--p-values", "0.5", "--set", "set.radius=-1"], cli.EXIT_SEMANTIC, "err", "invalid problem:"),
+        (["run", "{minnorm}", "--max-iters", "5"], cli.EXIT_BUDGET, "out", "stop reason    : budget"),
+        (["run", "{overflowing}"], cli.EXIT_NUMERIC, "err", "numeric failure:"),
+    ],
+)
+def test_exit_codes_without_traceback(minnorm, tmp_path, argv, code, stream, text):
+    """Every documented exit code, in a fresh interpreter, with no traceback."""
+    overflowing = tmp_path / "overflowing.cfg"
+    overflowing.write_text(OVERFLOWING)
+    argv = [a.format(minnorm=minnorm, overflowing=overflowing) for a in argv]
+    rc, out, err = hfp_bench(*argv, cwd=tmp_path)
+    assert rc == code
+    assert text in {"out": out, "err": err}[stream]

@@ -185,6 +185,10 @@ class TestConstruction:
         with pytest.raises(ProblemDefinitionError):
             AffineHyperplane(np.zeros(3), 1.0)
 
+    def test_box_too_wide_to_sample(self):
+        with pytest.raises(ProblemDefinitionError):
+            Box(np.full(2, -1e308), np.full(2, 1e308))
+
     def test_mixed_dims(self):
         with pytest.raises(ProblemDefinitionError):
             Intersection((Ball(np.zeros(2), 1.0), Ball(np.zeros(3), 1.0)))
@@ -197,3 +201,14 @@ class TestConstruction:
         ws = WholeSpace(3)
         x = np.array([1.0, -2.0, 3.0])
         assert np.array_equal(project(ws, x), x)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 5])
+def test_box_sample_is_rng_uniform_draw_for_draw(dim):
+    rng = np.random.default_rng(dim)
+    for seed in range(200):
+        box = random_set("box", rng, dim)
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(5):
+            assert np.array_equal(sample(box, ours), theirs.uniform(box.lower, box.upper))
+        assert ours.random() == theirs.random()  # the streams stay in step

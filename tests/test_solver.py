@@ -24,6 +24,7 @@ from hfp.geometry import (
     norm,
     sample,
 )
+from hfp.operators import MappingHandle
 from hfp.schedules import power_schedule
 from hfp.solver import (
     ConvexSubset,
@@ -94,6 +95,15 @@ class TestValidateProblem:
         C = Ball(np.zeros(2), 10.0)
         spec = make_spec(F=rotation(C, 0.3))
         assert any("declare" in v for v in validate_problem(spec))
+
+    @pytest.mark.parametrize("mode", [FullPower(), Single()])
+    def test_t_must_be_nearly_nonexpansive(self, mode):
+        C = WholeSpace(2)
+        expanding = make_spec(C=C, T=contraction(C, 3.0), mode=mode)
+        assert any("nearness sequence" in v for v in validate_problem(expanding))
+        # L <= 1 without a sequence, or a sequence without L, is enough
+        for T in (contraction(C, 0.5), proj_affine(C, np.array([1.0, 1.0]), 2.0)):
+            assert validate_problem(make_spec(C=C, T=T, mode=mode)) == []
 
 
 class TestStep:
@@ -207,15 +217,19 @@ class TestSolve:
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_nonfinite_iterate_raises_numeric_error(self):
-        # x_{n+1} = 3 (1 - alpha_n) x_n overflows, then turns into inf - inf
+        # a valid problem whose first step overflows: V x1 = 10 * 1e308
         C = WholeSpace(2)
         spec = make_spec(
             C=C,
-            T=contraction(C, 3.0),
+            T=contraction(C, 1.0),
+            V=contraction(C, 10.0),
+            rho=0.01,
             mode=Single(),
             fix_set=None,
             schedule=power_schedule(0.5, 0.5, 1.0, 0.9),
+            x1=np.array([1e308, 1e308]),
         )
+        assert validate_problem(spec) == []
         with pytest.raises(NumericError, match="not a finite point"):
             solve(spec, budget_stop(10**4))
 
@@ -275,6 +289,58 @@ class TestPowerRegularity:
         T = averaged_rotation(C, 0.5, math.pi / 4)
         report = check_power_regularity(T, power_schedule(1.0, 0.5, 1.0, 0.9), [np.array([1.0, 0.0])])
         assert report.passed
+
+    @staticmethod
+    def counted(T, calls, raw):
+        """T with its evaluate (raw) or closed-form power calls counted."""
+
+        def count(fn):
+            def wrapper(*args):
+                calls.append(args[0] if raw else args)
+                return fn(*args)
+
+            return wrapper
+
+        if raw:
+            meta = dataclasses.replace(T.meta, closed_form_power=None)
+            return dataclasses.replace(T, evaluate=count(T.evaluate), meta=meta)
+        meta = dataclasses.replace(T.meta, closed_form_power=count(T.meta.closed_form_power))
+        return dataclasses.replace(T, meta=meta)
+
+    @pytest.mark.parametrize("raw", [True, False])
+    @pytest.mark.parametrize("horizon", [2, 150, 1000])
+    def test_matches_powers_from_scratch(self, raw, horizon):
+        from hfp.operators import power
+
+        C = Ball(np.zeros(2), 10.0)
+        T = averaged_rotation(C, 0.3, 0.7)
+        schedule = power_schedule(1.0, 0.5, 1.0, 0.9)
+        probes = [np.array([1.0, 0.0]), np.array([-3.0, 2.5])]
+        calls = []
+        report = check_power_regularity(self.counted(T, calls, raw), schedule, probes, horizon)
+        ns = [max(horizon // 100, 2), max(horizon // 10, 2), horizon]
+        # one raw walk to the horizon per probe, or one closed-form call per index
+        assert len(calls) == len(probes) * (horizon if raw else len({m for n in ns for m in (n - 1, n)}))
+        reference = T if not raw else self.counted(T, [], raw)
+        for probe, row in zip(probes, report.per_probe):
+            diffs = [norm(power(reference, n, probe) - power(reference, n - 1, probe)) for n in ns]
+            assert row["diffs"] == diffs  # bit for bit
+            assert row["ratios"] == [d / float(schedule.alpha(n)) for d, n in zip(diffs, ns)]
+
+    def test_raw_walk_names_the_escape_step(self):
+        escape = MappingHandle(
+            name="escape",
+            evaluate=lambda x: x + 0.25,
+            domain=Box(np.zeros(1), np.ones(1)),
+            maps_into_domain=True,
+        )
+        with pytest.raises(NumericError, match="power step 5"):
+            check_power_regularity(escape, power_schedule(1.0, 0.5, 1.0, 0.9), [np.zeros(1)], 100)
+
+    def test_short_horizon_rejected(self):
+        T = proj_affine(Ball(np.zeros(2), 10.0), np.array([1.0, 1.0]), 2.0)
+        with pytest.raises(UsageError):
+            check_power_regularity(T, power_schedule(1.0, 0.5, 1.0, 0.9), [np.zeros(2)], 1)
 
 
 class TestReduceVariant:
