@@ -6,11 +6,12 @@ budget exhausted, 4 numeric failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 from typing import List, Optional
 
-from .geometry import NumericError
+from .geometry import NumericError, UsageError
 from .operators import (
     certify_lipschitz,
     certify_nearly_nonexpansive,
@@ -27,8 +28,8 @@ from .problemfile import (
 from .schedules import power_schedule, validate_schedule
 from .solver import (
     FullPower,
+    ProblemSpec,
     SolveReport,
-    StopRule,
     TraceRow,
     check_power_regularity,
     reduce_variant,
@@ -64,65 +65,48 @@ def write_trace(path: str, report: SolveReport):
         handle.flush()
 
 
-def _load(path: str, overrides: List[str], args=None) -> BuiltProblem:
-    raw = parse_problem_file(path)
-    extra = list(overrides)
-    if args is not None:
-        if getattr(args, "max_iters", None) is not None:
-            extra.append(f"stop.max_iters={args.max_iters}")
-        if getattr(args, "seed", None) is not None:
-            extra.append(f"problem.seed={args.seed}")
-    if extra:
-        raw = apply_overrides(raw, extra)
+def _load(args, *extra: str) -> BuiltProblem:
+    """The problem file of ``args``, with its overrides, then ``extra`` ones."""
+    overrides = [*(args.set or []), *extra]
+    if getattr(args, "max_iters", None) is not None:
+        overrides.append(f"stop.max_iters={args.max_iters}")
+    if getattr(args, "seed", None) is not None:
+        overrides.append(f"problem.seed={args.seed}")
+    raw = parse_problem_file(args.problem)
+    if overrides:
+        raw = apply_overrides(raw, overrides)
     return build_problem(raw)
 
 
-def _certifier_violations(built: BuiltProblem, samples: int = 200) -> List[str]:
+def _certifier_violations(spec: ProblemSpec, samples: int = 200) -> List[str]:
     """Spot-check declared fixture metadata with small-sample certifiers."""
-    spec = built.spec
-    out = []
-    checks = []
+    certificates = []
     for label, handle in (("T", spec.T), ("S", spec.S), ("V", spec.V), ("F", spec.F)):
-        if handle.meta.lipschitz is not None:
-            checks.append(
-                (
-                    f"{label} Lipschitz",
-                    lambda h=handle: certify_lipschitz(
-                        h, h.meta.lipschitz, samples, spec.seed
-                    ),
-                )
-            )
-        if handle.meta.strong_monotone is not None:
-            checks.append(
-                (
-                    f"{label} strong monotonicity",
-                    lambda h=handle: certify_strong_monotone(
-                        h, h.meta.strong_monotone, samples, spec.seed
-                    ),
-                )
-            )
-    if spec.T.meta.nearly_seq is not None:
-        checks.append(
-            (
-                "T near-nonexpansiveness",
-                lambda: certify_nearly_nonexpansive(
-                    spec.T, spec.T.meta.nearly_seq, 3, samples, spec.seed
-                ),
-            )
-        )
-    for label, run in checks:
-        cert = run()
-        if not cert.passed:
-            out.append(
-                f"certifier failed: {label} (worst margin {cert.worst_margin:.3e})"
-            )
-    return out
+        meta = handle.meta
+        if meta.lipschitz is not None:
+            cert = certify_lipschitz(handle, meta.lipschitz, samples, spec.seed)
+            certificates.append((f"{label} Lipschitz", cert))
+        if meta.strong_monotone is not None:
+            cert = certify_strong_monotone(handle, meta.strong_monotone, samples, spec.seed)
+            certificates.append((f"{label} strong monotonicity", cert))
+    T = spec.T
+    if T.meta.nearly_seq is not None:
+        cert = certify_nearly_nonexpansive(T, T.meta.nearly_seq, 3, samples, spec.seed)
+        certificates.append(("T near-nonexpansiveness", cert))
+    return [
+        f"certifier failed: {label} (worst margin {cert.worst_margin:.3e})"
+        for label, cert in certificates
+        if not cert.passed
+    ]
 
 
 def cmd_validate(args) -> int:
-    built = _load(args.problem, args.set or [])
+    built = _load(args)
     violations = validate_problem(built.spec)
-    violations.extend(_certifier_violations(built))
+    try:
+        violations.extend(_certifier_violations(built.spec))
+    except UsageError as exc:  # a one-point domain has no pairs to sample
+        violations.append(f"certifiers cannot run: {exc}")
     if violations:
         for violation in violations:
             print(f"violation: {violation}")
@@ -149,7 +133,7 @@ def _summary(report: SolveReport, trace_path: str, quiet: bool):
 
 
 def cmd_run(args) -> int:
-    built = _load(args.problem, args.set or [], args)
+    built = _load(args)
     spec, stop = built.spec, built.stop
     violations = validate_problem(spec)
     if violations:
@@ -174,17 +158,14 @@ def cmd_run(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    built = _load(args.problem, args.set or [], args)
-    base_raw = dict(built.raw)
-    base_raw["problem"] = dict(base_raw["problem"])
-    base_raw["problem"]["variant"] = "full_power"
-    base = build_problem(base_raw)
+    # every variant is reduced from the main scheme, whatever the file's own variant
+    base = _load(args, "problem.variant=full_power")
 
     specs = {}
     for variant in args.variants:
         try:
             specs[variant] = reduce_variant(base.spec, variant)
-        except Exception as exc:
+        except UsageError as exc:
             print(f"variant {variant!r} is not applicable: {exc}", file=sys.stderr)
             return EXIT_SEMANTIC
 
@@ -232,22 +213,24 @@ def cmd_compare(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    built = _load(args.problem, args.set or [], args)
+    built = _load(args)
 
     if args.q_values:
         grid = sorted((p, q) for p in args.p_values for q in args.q_values)
     else:
         grid = sorted((p, p + args.q_offset) for p in args.p_values)
 
-    alpha0 = float(built.raw["schedule"]["alpha0"])
-    beta0 = float(built.raw["schedule"]["beta0"])
+    family = built.spec.schedule.family
     nearly = built.spec.T.meta.nearly_seq
 
     lines = ["p,q,status,iterations_to_tol,final_residual"]
     admissible = 0
+    # grid points differ only in a schedule each admissible one has passed, so
+    # validate_problem gives the same verdict at all of them
+    violations = None
     for p, q in grid:
         try:
-            schedule = power_schedule(alpha0, p, beta0, q)
+            schedule = power_schedule(family.alpha0, p, family.beta0, q)
             report = validate_schedule(schedule, nearly)
             failures = report.failures()
         except Exception as exc:
@@ -256,16 +239,14 @@ def cmd_sweep(args) -> int:
             lines.append(f"{_fmt(p)},{_fmt(q)},rejected: {failures[0]},,")
             continue
         admissible += 1
-        raw = apply_overrides(
-            built.raw, [f"schedule.p={p!r}", f"schedule.q={q!r}"]
-        )
-        point = build_problem(raw)
-        violations = validate_problem(point.spec)
+        spec = dataclasses.replace(built.spec, schedule=schedule)
+        if violations is None:
+            violations = validate_problem(spec)
         if violations:
             lines.append(f"{_fmt(p)},{_fmt(q)},rejected: {violations[0]},,")
             continue
         try:
-            result = solve(point.spec, point.stop, check_valid=False)
+            result = solve(spec, built.stop, check_valid=False)
         except NumericError as exc:
             print(f"numeric failure at (p={p}, q={q}): {exc}", file=sys.stderr)
             return EXIT_NUMERIC

@@ -101,6 +101,8 @@ def proj_affine(domain: ConvexSet, normal, offset: float) -> MappingHandle:
     Idempotent and nonexpansive; its fixed-point set is the hyperplane.
     """
     a = vector(normal)
+    if a.size != domain.dim:
+        raise ProblemDefinitionError("hyperplane normal must match the domain")
     if np.linalg.norm(a) == 0.0:
         raise ProblemDefinitionError("hyperplane normal must be nonzero")
     aa = float(np.dot(a, a))

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import configparser
 import io
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
@@ -26,9 +27,9 @@ from .geometry import (
     UsageError,
     WholeSpace,
 )
-from .operators import MappingHandle
 from .schedules import power_schedule
 from .solver import (
+    DEFAULT_N_PROBES,
     ConvexSubset,
     FullPower,
     ProblemSpec,
@@ -50,56 +51,155 @@ class ProblemFileSemanticError(Exception):
     """Well-formed file describing an invalid problem (CLI exit code 1)."""
 
 
-_SET_KIND_KEYS = {
-    "wholespace": set(),
-    "ball": {"center", "radius"},
-    "box": {"lower", "upper"},
-    "halfspace": {"normal", "offset"},
-    "hyperplane": {"normal", "offset"},
+def _real(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not finite")
+    return value
+
+
+def _reals(text: str) -> np.ndarray:
+    return np.array([_real(token) for token in text.split()], dtype=float)
+
+
+def _read(section: str, pairs: Dict[str, str], key: str, convert, what: str):
+    try:
+        return convert(pairs[key])
+    except ValueError as exc:
+        raise ProblemFileParseError(
+            f"key {key!r} in [{section}] is not {what}: {pairs[key]!r}"
+        ) from exc
+
+
+def _float(section: str, pairs: Dict[str, str], key: str) -> float:
+    return _read(section, pairs, key, _real, "a finite real number")
+
+
+def _int(section: str, pairs: Dict[str, str], key: str) -> int:
+    return _read(section, pairs, key, int, "an integer")
+
+
+def _vec(section: str, pairs: Dict[str, str], key: str) -> np.ndarray:
+    return _read(section, pairs, key, _reals, "a vector of finite reals")
+
+
+def _vecs(section: str, pairs: Dict[str, str], key: str) -> List[np.ndarray]:
+    """A ``;``-separated list of vectors; empty items are skipped."""
+
+    def convert(text):
+        return [_reals(item) for item in text.split(";") if item.strip()]
+
+    return _read(section, pairs, key, convert, "a list of vectors of finite reals")
+
+
+def _check_dim(what: str, size: int, dimension: int):
+    if size != dimension:
+        raise ProblemFileSemanticError(
+            f"{what} dimension {size} does not match declared dimension {dimension}"
+        )
+
+
+# A catalog maps a name to (fields, build).  A field is (key, reader), or
+# (key, reader, default) for an optional key; a field whose reader is itself a
+# catalog names one of its entries, whose keys then sit in the same section.
+# ``build(context, *values)`` gets the fields' values in order; the context is
+# the declared dimension, or the domain C for a mapping.
+
+_SET_KINDS = {
+    "wholespace": ((), WholeSpace),
+    "ball": ((("center", _vec), ("radius", _float)), lambda _, c, r: Ball(c, r)),
+    "box": ((("lower", _vec), ("upper", _vec)), lambda _, lower, upper: Box(lower, upper)),
+    "halfspace": ((("normal", _vec), ("offset", _float)), lambda _, a, b: Halfspace(a, b)),
+    "hyperplane": (
+        (("normal", _vec), ("offset", _float)),
+        lambda _, a, b: AffineHyperplane(a, b),
+    ),
 }
 
-_FIXTURE_KEYS = {
-    "identity": set(),
-    "zero": set(),
-    "constant": {"value"},
-    "contraction": {"k"},
-    "linear": {"diag"},
-    "proj_affine": {"normal", "offset"},
-    "rotation": {"theta"},
-    "averaged_rotation": {"lam", "theta"},
-    "sahu_step": set(),
+
+def _sahu_step(domain: ConvexSet):
+    if domain.dim != 1:
+        raise ProblemFileSemanticError("sahu_step requires dimension 1")
+    return fixtures.sahu_step()
+
+
+# Builders look their factory up in ``fixtures`` when called, so a factory
+# patched there (as the traced benchmark does) is the one that runs.
+_FIXTURES = {
+    "identity": ((), lambda C: fixtures.identity_map(C)),
+    "zero": ((), lambda C: fixtures.zero_map(C)),
+    "constant": ((("value", _vec),), lambda C, value: fixtures.constant_map(C, value)),
+    "contraction": ((("k", _float),), lambda C, k: fixtures.contraction(C, k)),
+    "linear": ((("diag", _vec),), lambda C, diag: fixtures.linear_map(C, np.diag(diag))),
+    "proj_affine": (
+        (("normal", _vec), ("offset", _float)),
+        lambda C, a, b: fixtures.proj_affine(C, a, b),
+    ),
+    "rotation": ((("theta", _float),), lambda C, theta: fixtures.rotation(C, theta)),
+    "averaged_rotation": (
+        (("lam", _float), ("theta", _float)),
+        lambda C, lam, theta: fixtures.averaged_rotation(C, lam, theta),
+    ),
+    "sahu_step": ((), _sahu_step),
+}
+
+
+def _singleton(dimension: int, point: np.ndarray) -> Singleton:
+    _check_dim("fix_set point", point.size, dimension)
+    return Singleton(point)
+
+
+def _sampled(dimension: int, points: List[np.ndarray]) -> SampledPoints:
+    if not points:
+        raise ProblemFileParseError("fix_set 'points' list is empty")
+    for point in points:
+        _check_dim("fix_set point", point.size, dimension)
+    return SampledPoints(points)
+
+
+def _convex_subset(dimension: int, subset: ConvexSet, n_probes: int) -> ConvexSubset:
+    _check_dim("fix_set", subset.dim, dimension)
+    if n_probes < 1:
+        raise ProblemFileSemanticError(f"fix_set.n_probes = {n_probes} is below 1")
+    return ConvexSubset(subset, n_probes)
+
+
+_FIX_SETS = {
+    "singleton": ((("point", _vec),), _singleton),
+    "convex_subset": (
+        (("set_kind", _SET_KINDS), ("n_probes", _int, DEFAULT_N_PROBES)),
+        _convex_subset,
+    ),
+    "sampled": ((("points", _vecs),), _sampled),
 }
 
 _REQUIRED_SECTIONS = ("problem", "set", "T", "S", "V", "F", "schedule")
 _OPTIONAL_SECTIONS = ("fix_set", "stop", "output")
 
-_PROBLEM_KEYS = {"dimension", "rho", "mu", "variant", "x1"}
-_PROBLEM_OPT_KEYS = {"seed", "reference"}
-_SCHEDULE_KEYS = {"alpha0", "p", "beta0", "q"}
-_STOP_KEYS = {"max_iters", "tol_step", "tol_fix", "tol_vi"}
-_OUTPUT_KEYS = {"trace"}
+_PROBLEM_KEYS = ("dimension", "rho", "mu", "variant", "x1")
+_PROBLEM_OPT_KEYS = ("seed", "reference")
+_SCHEDULE_KEYS = ("alpha0", "p", "beta0", "q")  # power_schedule's argument order
+_STOP_KEYS = ("max_iters", "tol_step", "tol_fix", "tol_vi")
+_OUTPUT_KEYS = ("trace",)
 
 
 def parse_problem_file(path: str) -> RawConfig:
-    parser = configparser.ConfigParser(interpolation=None, strict=True)
-    parser.optionxform = str
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            parser.read_file(handle, source=path)
-    except OSError as exc:
+            return _parse(handle, path)
+    except (OSError, UnicodeError) as exc:
         raise ProblemFileParseError(f"cannot read {path}: {exc}") from exc
-    except configparser.Error as exc:
-        raise ProblemFileParseError(str(exc)) from exc
-    raw = {name: dict(parser[name]) for name in parser.sections()}
-    validate_raw(raw)
-    return raw
 
 
 def parse_problem_text(text: str) -> RawConfig:
+    return _parse(io.StringIO(text), "<config>")
+
+
+def _parse(handle, source: str) -> RawConfig:
     parser = configparser.ConfigParser(interpolation=None, strict=True)
     parser.optionxform = str
     try:
-        parser.read_file(io.StringIO(text), source="<config>")
+        parser.read_file(handle, source=source)
     except configparser.Error as exc:
         raise ProblemFileParseError(str(exc)) from exc
     raw = {name: dict(parser[name]) for name in parser.sections()}
@@ -133,7 +233,7 @@ def apply_overrides(raw: RawConfig, overrides: List[str]) -> RawConfig:
     return updated
 
 
-def _check_keys(section: str, pairs: Dict[str, str], required: set, optional: set = frozenset()):
+def _check_keys(section: str, pairs: Dict[str, str], required, optional=()):
     for key in pairs:
         if key not in required and key not in optional:
             raise ProblemFileParseError(f"unknown key {key!r} in section [{section}]")
@@ -142,31 +242,47 @@ def _check_keys(section: str, pairs: Dict[str, str], required: set, optional: se
             raise ProblemFileParseError(f"missing key {key!r} in section [{section}]")
 
 
-def _check_set_section(name: str, pairs: Dict[str, str], allow_intersection: bool):
-    if "kind" not in pairs:
-        raise ProblemFileParseError(f"missing key 'kind' in section [{name}]")
-    kind = pairs["kind"]
-    if kind == "intersection":
-        if not allow_intersection:
-            raise ProblemFileParseError(
-                f"nested intersection is not supported (section [{name}])"
-            )
-        _check_keys(name, pairs, {"kind", "members"})
-        return
-    if kind not in _SET_KIND_KEYS:
-        raise ProblemFileParseError(f"unknown set kind {kind!r} in section [{name}]")
-    _check_keys(name, pairs, {"kind"} | _SET_KIND_KEYS[kind])
+def _entry(section: str, pairs: Dict[str, str], selector: str, catalog: dict):
+    """The (fields, build) entry of ``catalog`` that ``pairs[selector]`` names."""
+    if selector not in pairs:
+        raise ProblemFileParseError(f"missing key {selector!r} in section [{section}]")
+    name = pairs[selector]
+    if name not in catalog:
+        raise ProblemFileParseError(f"unknown {selector} {name!r} in section [{section}]")
+    return catalog[name]
 
 
-def _check_mapping_section(name: str, pairs: Dict[str, str]):
-    if "fixture" not in pairs:
-        raise ProblemFileParseError(f"missing key 'fixture' in section [{name}]")
-    fixture = pairs["fixture"]
-    if fixture not in _FIXTURE_KEYS:
-        raise ProblemFileParseError(
-            f"unknown fixture {fixture!r} in section [{name}]"
-        )
-    _check_keys(name, pairs, {"fixture"} | _FIXTURE_KEYS[fixture])
+def _entry_keys(section: str, pairs: Dict[str, str], selector: str, catalog: dict):
+    """The required and the optional keys of the entry ``pairs[selector]`` names."""
+    fields, _ = _entry(section, pairs, selector, catalog)
+    required, optional = [selector], []
+    for key, read, *default in fields:
+        if isinstance(read, dict):
+            nested_required, nested_optional = _entry_keys(section, pairs, key, read)
+            required += nested_required
+            optional += nested_optional
+        else:
+            (optional if default else required).append(key)
+    return required, optional
+
+
+def _check_entry(section: str, pairs: Dict[str, str], selector: str, catalog: dict):
+    _check_keys(section, pairs, *_entry_keys(section, pairs, selector, catalog))
+
+
+def _build_entry(
+    section: str, pairs: Dict[str, str], selector: str, catalog: dict, context
+):
+    fields, build = _entry(section, pairs, selector, catalog)
+    values = []
+    for key, read, *default in fields:
+        if isinstance(read, dict):
+            values.append(_build_entry(section, pairs, key, read, context))
+        elif key in pairs:
+            values.append(read(section, pairs, key))
+        else:
+            values.append(default[0])
+    return build(context, *values)
 
 
 def validate_raw(raw: RawConfig):
@@ -198,184 +314,48 @@ def validate_raw(raw: RawConfig):
         raise ProblemFileParseError(
             f"unknown variant {raw['problem']['variant']!r}; choose from {VARIANTS}"
         )
-    _check_set_section("set", raw["set"], allow_intersection=True)
+    if member_sections:
+        _check_keys("set", raw["set"], ("kind", "members"))
+    else:
+        _check_entry("set", raw["set"], "kind", _SET_KINDS)
     for name in member_sections:
-        _check_set_section(name, raw[name], allow_intersection=False)
+        _check_entry(name, raw[name], "kind", _SET_KINDS)
     for name in ("T", "S", "V", "F"):
-        _check_mapping_section(name, raw[name])
+        _check_entry(name, raw[name], "fixture", _FIXTURES)
     _check_keys("schedule", raw["schedule"], _SCHEDULE_KEYS)
     if "fix_set" in raw:
-        _check_fix_set_section(raw["fix_set"])
-    if "stop" in raw:
-        _check_keys("stop", raw["stop"], set(), _STOP_KEYS)
-    if "output" in raw:
-        _check_keys("output", raw["output"], set(), _OUTPUT_KEYS)
+        _check_entry("fix_set", raw["fix_set"], "kind", _FIX_SETS)
+    for section, keys in (("stop", _STOP_KEYS), ("output", _OUTPUT_KEYS)):
+        _check_keys(section, raw.get(section, {}), (), keys)
 
 
-def _check_fix_set_section(pairs: Dict[str, str]):
-    if "kind" not in pairs:
-        raise ProblemFileParseError("missing key 'kind' in section [fix_set]")
-    kind = pairs["kind"]
-    if kind == "singleton":
-        _check_keys("fix_set", pairs, {"kind", "point"})
-    elif kind == "convex_subset":
-        if "set_kind" not in pairs:
-            raise ProblemFileParseError("missing key 'set_kind' in section [fix_set]")
-        set_kind = pairs["set_kind"]
-        if set_kind not in _SET_KIND_KEYS or set_kind == "wholespace":
-            raise ProblemFileParseError(
-                f"unsupported fix_set set_kind {set_kind!r}"
-            )
-        _check_keys(
-            "fix_set",
-            pairs,
-            {"kind", "set_kind"} | _SET_KIND_KEYS[set_kind],
-            {"n_probes"},
-        )
-    elif kind == "sampled":
-        _check_keys("fix_set", pairs, {"kind", "points"})
-    else:
-        raise ProblemFileParseError(f"unknown fix_set kind {kind!r}")
+def _build_set(raw: RawConfig, section: str, dimension: int) -> ConvexSet:
+    pairs = raw[section]
+    if pairs["kind"] == "intersection":
+        members = pairs["members"].split()
+        return Intersection(tuple(_build_set(raw, f"set.{m}", dimension) for m in members))
+    built = _build_entry(section, pairs, "kind", _SET_KINDS, dimension)
+    _check_dim(section, built.dim, dimension)
+    return built
 
 
-def _float(section: str, pairs: Dict[str, str], key: str) -> float:
-    try:
-        return float(pairs[key])
-    except ValueError as exc:
-        raise ProblemFileParseError(
-            f"key {key!r} in [{section}] is not a real number: {pairs[key]!r}"
-        ) from exc
+def _tol(section: str, pairs: Dict[str, str], key: str) -> Optional[float]:
+    """A stop tolerance; ``none`` disables its rule."""
 
+    def convert(text):
+        return None if text.lower() == "none" else float(text)
 
-def _int(section: str, pairs: Dict[str, str], key: str) -> int:
-    try:
-        return int(pairs[key])
-    except ValueError as exc:
-        raise ProblemFileParseError(
-            f"key {key!r} in [{section}] is not an integer: {pairs[key]!r}"
-        ) from exc
-
-
-def _vec(section: str, pairs: Dict[str, str], key: str) -> np.ndarray:
-    try:
-        return np.array([float(tok) for tok in pairs[key].split()], dtype=float)
-    except ValueError as exc:
-        raise ProblemFileParseError(
-            f"key {key!r} in [{section}] is not a vector: {pairs[key]!r}"
-        ) from exc
-
-
-def _build_simple_set(section: str, pairs: Dict[str, str]) -> ConvexSet:
-    kind = pairs["kind"]
-    if kind == "wholespace":
-        raise ProblemFileParseError(
-            f"wholespace needs no parameters but cannot infer dimension in [{section}]"
-        )
-    if kind == "ball":
-        return Ball(_vec(section, pairs, "center"), _float(section, pairs, "radius"))
-    if kind == "box":
-        return Box(_vec(section, pairs, "lower"), _vec(section, pairs, "upper"))
-    if kind == "halfspace":
-        return Halfspace(_vec(section, pairs, "normal"), _float(section, pairs, "offset"))
-    if kind == "hyperplane":
-        return AffineHyperplane(
-            _vec(section, pairs, "normal"), _float(section, pairs, "offset")
-        )
-    raise ProblemFileParseError(f"unknown set kind {kind!r}")
-
-
-def _build_set(raw: RawConfig, dimension: int) -> ConvexSet:
-    pairs = raw["set"]
-    kind = pairs["kind"]
-    if kind == "wholespace":
-        return WholeSpace(dimension)
-    if kind == "intersection":
-        members = tuple(
-            _build_simple_set(f"set.{token}", raw[f"set.{token}"])
-            for token in pairs["members"].split()
-        )
-        return Intersection(members)
-    return _build_simple_set("set", pairs)
-
-
-def _build_mapping(
-    section: str, pairs: Dict[str, str], domain: ConvexSet
-) -> MappingHandle:
-    fixture = pairs["fixture"]
-    if fixture == "identity":
-        return fixtures.identity_map(domain)
-    if fixture == "zero":
-        return fixtures.zero_map(domain)
-    if fixture == "constant":
-        return fixtures.constant_map(domain, _vec(section, pairs, "value"))
-    if fixture == "contraction":
-        return fixtures.contraction(domain, _float(section, pairs, "k"))
-    if fixture == "linear":
-        return fixtures.linear_map(domain, np.diag(_vec(section, pairs, "diag")))
-    if fixture == "proj_affine":
-        return fixtures.proj_affine(
-            domain, _vec(section, pairs, "normal"), _float(section, pairs, "offset")
-        )
-    if fixture == "rotation":
-        return fixtures.rotation(domain, _float(section, pairs, "theta"))
-    if fixture == "averaged_rotation":
-        return fixtures.averaged_rotation(
-            domain, _float(section, pairs, "lam"), _float(section, pairs, "theta")
-        )
-    if fixture == "sahu_step":
-        if domain.dim != 1:
-            raise ProblemFileSemanticError("sahu_step requires dimension 1")
-        return fixtures.sahu_step()
-    raise ProblemFileParseError(f"unknown fixture {fixture!r}")
-
-
-def _build_fix_set(pairs: Dict[str, str]):
-    kind = pairs["kind"]
-    if kind == "singleton":
-        return Singleton(_vec("fix_set", pairs, "point"))
-    if kind == "sampled":
-        points = tuple(
-            np.array([float(tok) for tok in chunk.split()], dtype=float)
-            for chunk in pairs["points"].split(";")
-            if chunk.strip()
-        )
-        if not points:
-            raise ProblemFileParseError("fix_set 'points' list is empty")
-        return SampledPoints(points)
-    subset_pairs = dict(pairs)
-    subset_pairs["kind"] = pairs["set_kind"]
-    subset = _build_simple_set("fix_set", subset_pairs)
-    n_probes = int(pairs.get("n_probes", 32))
-    return ConvexSubset(subset, n_probes)
+    return _read(section, pairs, key, convert, "a real number or 'none'")
 
 
 def _build_stop(pairs: Dict[str, str]) -> StopRule:
-    defaults = StopRule()
-
-    def tol(key, default):
-        if key not in pairs:
-            return default
-        value = pairs[key]
-        if value.lower() == "none":
-            return None
-        try:
-            return float(value)
-        except ValueError as exc:
-            raise ProblemFileParseError(
-                f"key {key!r} in [stop] is not a real number or 'none'"
-            ) from exc
-
-    max_iters = defaults.max_iters
+    max_iters = StopRule.max_iters
     if "max_iters" in pairs:
         max_iters = _int("stop", pairs, "max_iters")
         if max_iters < 1:
             raise ProblemFileSemanticError(f"stop.max_iters = {max_iters} is below 1")
-    return StopRule(
-        max_iters=max_iters,
-        tol_step=tol("tol_step", defaults.tol_step),
-        tol_fix=tol("tol_fix", defaults.tol_fix),
-        tol_vi=tol("tol_vi", defaults.tol_vi),
-    )
+    tolerances = {key: _tol("stop", pairs, key) for key in _STOP_KEYS[1:] if key in pairs}
+    return StopRule(max_iters, **tolerances)
 
 
 @dataclass
@@ -383,8 +363,6 @@ class BuiltProblem:
     spec: ProblemSpec
     stop: StopRule
     trace_path: Optional[str]
-    variant: str
-    raw: RawConfig
 
 
 def build_problem(raw: RawConfig) -> BuiltProblem:
@@ -398,26 +376,23 @@ def build_problem(raw: RawConfig) -> BuiltProblem:
     if dimension < 1:
         raise ProblemFileSemanticError("dimension must be positive")
     try:
-        C = _build_set(raw, dimension)
-        if C.dim != dimension:
-            raise ProblemFileSemanticError(
-                f"set dimension {C.dim} does not match declared dimension {dimension}"
-            )
-        T = _build_mapping("T", raw["T"], C)
-        S = _build_mapping("S", raw["S"], C)
-        V = _build_mapping("V", raw["V"], C)
-        F = _build_mapping("F", raw["F"], C)
+        C = _build_set(raw, "set", dimension)
+        T, S, V, F = (_build_entry(m, raw[m], "fixture", _FIXTURES, C) for m in "TSVF")
         schedule = power_schedule(
-            _float("schedule", raw["schedule"], "alpha0"),
-            _float("schedule", raw["schedule"], "p"),
-            _float("schedule", raw["schedule"], "beta0"),
-            _float("schedule", raw["schedule"], "q"),
+            *(_float("schedule", raw["schedule"], key) for key in _SCHEDULE_KEYS)
         )
         x1 = _vec("problem", prob, "x1")
-        if x1.size != dimension:
-            raise ProblemFileSemanticError("x1 dimension does not match the problem")
-        reference = _vec("problem", prob, "reference") if "reference" in prob else None
-        fix_set = _build_fix_set(raw["fix_set"]) if "fix_set" in raw else None
+        _check_dim("x1", x1.size, dimension)
+        reference = None
+        if "reference" in prob:
+            reference = _vec("problem", prob, "reference")
+            _check_dim("reference", reference.size, dimension)
+        seed = _int("problem", prob, "seed") if "seed" in prob else 0
+        if seed < 0:
+            raise ProblemFileSemanticError(f"problem.seed = {seed} is below 0")
+        fix_set = None
+        if "fix_set" in raw:
+            fix_set = _build_entry("fix_set", raw["fix_set"], "kind", _FIX_SETS, dimension)
         base = ProblemSpec(
             C=C,
             T=T,
@@ -431,11 +406,10 @@ def build_problem(raw: RawConfig) -> BuiltProblem:
             x1=x1,
             fix_set=fix_set,
             reference=reference,
-            seed=_int("problem", prob, "seed") if "seed" in prob else 0,
+            seed=seed,
         )
         spec = reduce_variant(base, prob["variant"])
     except (ProblemDefinitionError, UsageError) as exc:
         raise ProblemFileSemanticError(str(exc)) from exc
     stop = _build_stop(raw.get("stop", {}))
-    trace_path = raw.get("output", {}).get("trace")
-    return BuiltProblem(spec, stop, trace_path, prob["variant"], raw)
+    return BuiltProblem(spec, stop, raw.get("output", {}).get("trace"))

@@ -170,7 +170,7 @@ def validate_problem(p: ProblemSpec) -> List[str]:
             violations.append(f"mu >= 2*eta/L^2 (mu={p.mu}, bound={2 * eta / lip**2})")
         else:
             nu = nu_constant(p.mu, eta, lip)
-            if p.rho < 0:
+            if not p.rho >= 0:
                 violations.append("rho must be nonnegative")
             elif p.rho > 0:
                 gamma = p.V.meta.lipschitz

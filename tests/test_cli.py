@@ -1,11 +1,17 @@
+import contextlib
+import io
+import os
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hfp import cli
+from hfp import cli, problemfile
 from conftest import child_env
 
 PROBLEMS_DIR = Path(__file__).resolve().parent.parent / "problems"
@@ -246,6 +252,53 @@ class TestCompare:
         assert "max_iters" in err
 
 
+    def test_file_variant_need_not_apply(self, minnorm, tmp_path):
+        # marino_xu needs C = R^2, but compare reduces from full_power itself
+        text = Path(minnorm).read_text().replace("variant = full_power", "variant = marino_xu")
+        Path(minnorm).write_text(text)
+        code = cli.main(
+            ["compare", minnorm, "full_power", "ceng", "--max-iters", "10", "--quiet",
+             "--trace-out", str(tmp_path / "cmp.csv")]
+        )
+        assert code == cli.EXIT_OK
+        assert (tmp_path / "cmp.ceng.csv").exists()
+
+
+class TestBadValues:
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize(
+        "name, overrides, code, text",
+        [
+            ("minnorm", ["fix_set.n_probes=abc"], cli.EXIT_PARSE, "'n_probes'"),
+            ("minnorm", ["fix_set.n_probes=1.5"], cli.EXIT_PARSE, "'n_probes'"),
+            ("minnorm", ["fix_set.n_probes=0"], cli.EXIT_SEMANTIC, "n_probes = 0 is below 1"),
+            ("sahu_step", ["fix_set.point=0.5 0.5"], cli.EXIT_SEMANTIC, "fix_set point dimension 2"),
+            ("minnorm", ["fix_set.normal=1 1 1"], cli.EXIT_SEMANTIC, "fix_set dimension 3"),
+            ("minnorm", ["problem.reference=1 1 1"], cli.EXIT_SEMANTIC, "reference dimension 3"),
+            ("minnorm", ["T.normal=1 1 1"], cli.EXIT_SEMANTIC, "normal must match the domain"),
+            ("minnorm", ["problem.rho=nan"], cli.EXIT_PARSE, "'rho'"),
+            ("minnorm", ["fix_set.offset=nan"], cli.EXIT_PARSE, "'offset'"),
+            ("minnorm", ["problem.x1=inf 0"], cli.EXIT_PARSE, "'x1'"),
+            ("minnorm", ["problem.seed=-1"], cli.EXIT_SEMANTIC, "seed = -1 is below 0"),
+        ],
+    )
+    def test_exit_code(self, command, name, overrides, code, text, tmp_path, capsys):
+        argv = [command, str(PROBLEMS_DIR / f"{name}.cfg")]
+        for item in overrides:
+            argv += ["--set", item]
+        if command == "run":
+            argv += ["--max-iters", "3", "--trace-out", str(tmp_path / "t.csv")]
+        assert cli.main(argv) == code
+        assert text in capsys.readouterr().err
+        assert not (tmp_path / "t.csv").exists()
+
+    def test_one_point_domain_cannot_be_certified(self, capsys):
+        argv = ["validate", str(PROBLEMS_DIR / "sahu_step.cfg")]
+        argv += ["--set", "set.lower=1", "--set", "problem.x1=1"]
+        assert cli.main(argv) == cli.EXIT_SEMANTIC
+        assert "violation: certifiers cannot run: degenerate domain" in capsys.readouterr().out
+
+
 class TestSweep:
     def test_grid_with_rejection(self, minnorm, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
@@ -353,3 +406,64 @@ def test_exit_codes_without_traceback(minnorm, tmp_path, argv, code, stream, tex
     rc, out, err = hfp_bench(*argv, cwd=tmp_path)
     assert rc == code
     assert text in {"out": out, "err": err}[stream]
+
+
+def _catalog_keys(catalog):
+    """Every key a problem-file catalog declares, nested catalogs included."""
+    keys = set()
+    for fields, _ in catalog.values():
+        for key, read, *_ in fields:
+            keys.add(key)
+            if isinstance(read, dict):
+                keys |= _catalog_keys(read)
+    return keys
+
+
+SHIPPED = ("minnorm", "sahu_step", "rotation_fullpower")
+TABLE_KEYS = sorted(
+    [f"set.{key}" for key in _catalog_keys(problemfile._SET_KINDS) | {"kind"}]
+    + [f"{m}.{key}" for m in "TSVF" for key in _catalog_keys(problemfile._FIXTURES) | {"fixture"}]
+    + [f"fix_set.{key}" for key in _catalog_keys(problemfile._FIX_SETS) | {"kind"}]
+    + [f"problem.{key}" for key in ("seed", "reference")]
+)
+# the keys each shipped file sets, so that half the draws change a value in place
+FILE_KEYS = {
+    name: sorted(
+        f"{section}.{key}"
+        for section, pairs in problemfile.parse_problem_file(
+            str(PROBLEMS_DIR / f"{name}.cfg")
+        ).items()
+        for key in pairs
+        if section != "output" and key != "variant"
+    )
+    for name in SHIPPED
+}
+# wrong-length vectors, non-numbers, 0, negatives, nan, inf and small ints; no
+# large ints, since n_probes = 10**7 would sample 10**7 points
+FUZZ_VALUES = ["0", "1", "2", "3", "-1", "-2", "0.5", "nan", "inf", "-inf", "x", ""]
+FUZZ_VALUES += ["0 0", "1 1", "1 0", "0 1 2", "1; 2", "0.5; x", "none"]
+CATALOG_NAMES = sorted({*problemfile._SET_KINDS, *problemfile._FIXTURES, *problemfile._FIX_SETS})
+
+
+@st.composite
+def fuzz_argv(draw):
+    name = draw(st.sampled_from(SHIPPED))
+    argv = [draw(st.sampled_from(["validate", "run"])), str(PROBLEMS_DIR / f"{name}.cfg")]
+    for _ in range(draw(st.integers(1, 2))):
+        key = draw(st.one_of(st.sampled_from(FILE_KEYS[name]), st.sampled_from(TABLE_KEYS)))
+        selects = key.endswith(("kind", "fixture"))
+        value = draw(st.sampled_from(CATALOG_NAMES if selects else FUZZ_VALUES))
+        argv += ["--set", f"{key}={value}"]
+    return argv
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(argv=fuzz_argv())
+def test_fuzzed_overrides_end_with_an_exit_code(argv):
+    """Any ``--set`` values on a shipped problem end in a documented exit code."""
+    with tempfile.TemporaryDirectory() as tmp:
+        if argv[0] == "run":
+            argv = [*argv, "--max-iters", "3", "--quiet", "--trace-out", os.path.join(tmp, "t.csv")]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            rc = cli.main(argv)
+    assert rc in (0, 1, 2, 3, 4)

@@ -17,7 +17,7 @@ from hfp.fixtures import (
     sahu_step,
     zero_map,
 )
-from hfp.geometry import Ball, Box, NumericError, UsageError, norm
+from hfp.geometry import Ball, Box, NumericError, ProblemDefinitionError, UsageError, norm
 from hfp.operators import (
     MappingHandle,
     NearnessSequence,
@@ -268,6 +268,11 @@ def test_certificates_bit_identical_across_runs():
     a = certify_lipschitz(handle, handle.meta.lipschitz, samples=1000, seed=42)
     b = certify_lipschitz(handle, handle.meta.lipschitz, samples=1000, seed=42)
     assert a == b
+
+
+def test_proj_affine_normal_must_match_the_domain():
+    with pytest.raises(ProblemDefinitionError, match="match the domain"):
+        proj_affine(DOMAIN, np.array([1.0, 1.0, 1.0]), 2.0)
 
 
 def test_meta_validation():

@@ -5,7 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hfp.geometry import Ball, Intersection
+from hfp import fixtures
+from hfp.geometry import Ball, Intersection, WholeSpace
 from hfp.problemfile import (
     ProblemFileParseError,
     ProblemFileSemanticError,
@@ -148,6 +149,12 @@ class TestParsing:
         ).stdout
         assert out == "missing member section [set.a]\n"
 
+    def test_undecodable_file(self, tmp_path):
+        path = tmp_path / "binary.cfg"
+        path.write_bytes(b"\xff\xfe[problem]\n")
+        with pytest.raises(ProblemFileParseError, match="cannot read"):
+            parse_problem_file(str(path))
+
 
 class TestOverrides:
     def test_simple_override(self):
@@ -243,6 +250,85 @@ class TestBuild:
         raw["problem"]["mu"] = "lots"
         with pytest.raises(ProblemFileParseError, match="mu"):
             build_problem(raw)
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("problem", "rho", "nan"),
+            ("problem", "mu", "inf"),
+            ("problem", "x1", "3 nan"),
+            ("T", "offset", "-inf"),
+            ("set", "radius", "inf"),
+        ],
+    )
+    def test_nonfinite_value_is_a_parse_error(self, section, key, value):
+        raw = parse_problem_text(MINIMAL)
+        raw[section][key] = value
+        with pytest.raises(ProblemFileParseError, match=key):
+            build_problem(raw)
+
+    @pytest.mark.parametrize(
+        "lines, error, match",
+        [
+            (["kind = sampled", "points = 0.5; x"], ProblemFileParseError, "points"),
+            (["kind = sampled", "points = 1 1; 2"], ProblemFileSemanticError, "dimension 1"),
+            (["kind = singleton", "point = 1 1 1"], ProblemFileSemanticError, "dimension 3"),
+            (["kind = singleton", "point = inf 1"], ProblemFileParseError, "point"),
+            (
+                ["kind = convex_subset", "set_kind = hyperplane", "normal = 1 1 1", "offset = 2"],
+                ProblemFileSemanticError,
+                "fix_set dimension 3",
+            ),
+            (
+                ["kind = convex_subset", "set_kind = ball", "center = 0 0", "radius = 1",
+                 "n_probes = abc"],
+                ProblemFileParseError,
+                "n_probes",
+            ),
+            (
+                ["kind = convex_subset", "set_kind = ball", "center = 0 0", "radius = 1",
+                 "n_probes = 0"],
+                ProblemFileSemanticError,
+                "n_probes = 0 is below 1",
+            ),
+        ],
+    )
+    def test_bad_fix_set_values(self, lines, error, match):
+        raw = parse_problem_text(with_lines("[fix_set]", *lines))
+        with pytest.raises(error, match=match):
+            build_problem(raw)
+
+    def test_reference_dimension_mismatch(self):
+        raw = parse_problem_text(MINIMAL.replace("x1 = 3 4", "x1 = 3 4\nreference = 1 1 1"))
+        with pytest.raises(ProblemFileSemanticError, match="reference dimension 3"):
+            build_problem(raw)
+
+    def test_negative_seed(self):
+        raw = parse_problem_text(MINIMAL.replace("x1 = 3 4", "x1 = 3 4\nseed = -1"))
+        with pytest.raises(ProblemFileSemanticError, match="seed"):
+            build_problem(raw)
+
+    def test_wholespace_member_and_fix_set(self):
+        text = MINIMAL.replace(
+            "kind = ball\ncenter = 0 0\nradius = 10",
+            "kind = intersection\nmembers = a b",
+        ) + (
+            "\n[set.a]\nkind = ball\ncenter = 0 0\nradius = 10\n"
+            "\n[set.b]\nkind = wholespace\n"
+            "\n[fix_set]\nkind = convex_subset\nset_kind = wholespace\n"
+        )
+        spec = build_problem(parse_problem_text(text)).spec
+        assert spec.C.members[1] == WholeSpace(2)
+        assert spec.fix_set.subset == WholeSpace(2)
+
+    def test_fixture_factory_looked_up_when_built(self, monkeypatch):
+        # the traced benchmark wraps the factories by patching hfp.fixtures
+        calls = []
+        real = fixtures.contraction
+        monkeypatch.setattr(fixtures, "contraction", lambda *a: calls.append(a) or real(*a))
+        text = MINIMAL.replace("[V]\nfixture = zero", "[V]\nfixture = contraction\nk = 0.5")
+        spec = build_problem(parse_problem_text(text)).spec
+        assert len(calls) == 1 and spec.V.name == "contraction(0.5)"
 
     def test_x1_dimension_mismatch(self):
         raw = parse_problem_text(MINIMAL.replace("x1 = 3 4", "x1 = 3 4 5"))

@@ -79,6 +79,10 @@ class TestValidateProblem:
         spec = make_spec(V=contraction(C, 1.0), rho=2.0)
         assert any("rho*gamma >= nu" in v for v in validate_problem(spec))
 
+    def test_nan_rho_is_a_violation(self):
+        spec = make_spec(rho=float("nan"))
+        assert "rho must be nonnegative" in validate_problem(spec)
+
     def test_x1_outside(self):
         spec = make_spec(x1=np.array([20.0, 0.0]))
         assert any("x1" in v for v in validate_problem(spec))
