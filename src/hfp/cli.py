@@ -233,7 +233,7 @@ def cmd_sweep(args) -> int:
             schedule = power_schedule(family.alpha0, p, family.beta0, q)
             report = validate_schedule(schedule, nearly)
             failures = report.failures()
-        except Exception as exc:
+        except UsageError as exc:
             failures = [str(exc)]
         if failures:
             lines.append(f"{_fmt(p)},{_fmt(q)},rejected: {failures[0]},,")

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .geometry import Ball, Box, ConvexSet, ProblemDefinitionError, vector
+from .geometry import AffineHyperplane, Ball, Box, ConvexSet, ProblemDefinitionError, vector
 from .operators import MappingHandle, NearnessSequence, OperatorMeta, zero_sequence
 
 
@@ -35,7 +35,7 @@ def zero_map(domain: ConvexSet) -> MappingHandle:
         name="zero",
         evaluate=lambda x: np.zeros(domain.dim),
         domain=domain,
-        maps_into_domain=False,
+        maps_into_domain=domain.contains(np.zeros(domain.dim)),
         meta=OperatorMeta(lipschitz=0.0),
     )
 
@@ -59,13 +59,29 @@ def contraction(domain: ConvexSet, k: float) -> MappingHandle:
         name=f"contraction({k})",
         evaluate=lambda x: k * np.asarray(x, dtype=float),
         domain=domain,
-        # k*x stays inside any domain that is star-shaped about the origin;
-        # the shipped domains (balls about 0, [0,1]^d boxes) all are
-        maps_into_domain=k <= 1.0,
+        # for k < 1, k^n x -> 0, so k*x maps a closed convex C into itself
+        # exactly when 0 is in C (then k*x = k*x + (1-k)*0 stays in C)
+        maps_into_domain=k == 1.0 or (k < 1.0 and domain.contains(np.zeros(domain.dim))),
         meta=OperatorMeta(
             lipschitz=k,
             strong_monotone=k if k > 0 else None,
             closed_form_power=lambda n, x: k**n * np.asarray(x, dtype=float),
+        ),
+    )
+
+
+def _matrix_map(name, domain, M, maps_into_domain, power=None, **meta) -> MappingHandle:
+    """x -> M x, whose closed form is T^n x = power(n) @ x, by default M^n x."""
+    if power is None:
+        power = lambda n: np.linalg.matrix_power(M, n)
+    return MappingHandle(
+        name=name,
+        evaluate=lambda x: M @ np.asarray(x, dtype=float),
+        domain=domain,
+        maps_into_domain=maps_into_domain,
+        meta=OperatorMeta(
+            closed_form_power=lambda n, x: power(n) @ np.asarray(x, dtype=float),
+            **meta,
         ),
     )
 
@@ -81,18 +97,9 @@ def linear_map(domain: ConvexSet, matrix) -> MappingHandle:
     smallest, largest = float(eigs[0]), float(eigs[-1])
     if largest <= 0:
         raise ProblemDefinitionError("linear fixture requires a positive top eigenvalue")
-    return MappingHandle(
-        name="linear",
-        evaluate=lambda x: A @ np.asarray(x, dtype=float),
-        domain=domain,
-        maps_into_domain=False,
-        meta=OperatorMeta(
-            lipschitz=max(abs(smallest), largest),
-            strong_monotone=smallest if smallest > 0 else None,
-            closed_form_power=lambda n, x: np.linalg.matrix_power(A, n)
-            @ np.asarray(x, dtype=float),
-        ),
-    )
+    strong = smallest if smallest > 0 else None
+    lip = max(abs(smallest), largest)
+    return _matrix_map("linear", domain, A, False, lipschitz=lip, strong_monotone=strong)
 
 
 def proj_affine(domain: ConvexSet, normal, offset: float) -> MappingHandle:
@@ -103,13 +110,10 @@ def proj_affine(domain: ConvexSet, normal, offset: float) -> MappingHandle:
     a = vector(normal)
     if a.size != domain.dim:
         raise ProblemDefinitionError("hyperplane normal must match the domain")
-    if np.linalg.norm(a) == 0.0:
-        raise ProblemDefinitionError("hyperplane normal must be nonzero")
-    aa = float(np.dot(a, a))
+    plane = AffineHyperplane(a, offset)
 
     def evaluate(x):
-        x = np.asarray(x, dtype=float)
-        return x - ((float(np.dot(a, x)) - offset) / aa) * a
+        return plane._project(np.asarray(x, dtype=float))
 
     return MappingHandle(
         name="proj_affine",
@@ -137,18 +141,11 @@ def rotation(domain: ConvexSet, theta: float) -> MappingHandle:
     """
     if domain.dim != 2:
         raise ProblemDefinitionError("rotation is a planar fixture (dim 2)")
-    R = _rotation_matrix(theta)
-    return MappingHandle(
-        name=f"rotation({theta})",
-        evaluate=lambda x: R @ np.asarray(x, dtype=float),
-        domain=domain,
-        maps_into_domain=True,
-        meta=OperatorMeta(
-            lipschitz=1.0,
-            nearly_seq=zero_sequence(),
-            closed_form_power=lambda n, x: _rotation_matrix(n * theta)
-            @ np.asarray(x, dtype=float),
-        ),
+    return _matrix_map(
+        f"rotation({theta})", domain, _rotation_matrix(theta), True,
+        # R(n*theta) itself: matrix_power(R, n) differs from it in the last place
+        power=lambda n: _rotation_matrix(n * theta),
+        lipschitz=1.0, nearly_seq=zero_sequence(),
     )
 
 
@@ -164,17 +161,9 @@ def averaged_rotation(domain: ConvexSet, lam: float, theta: float) -> MappingHan
         raise ProblemDefinitionError("averaging weight must lie in (0, 1)")
     M = (1.0 - lam) * np.eye(2) + lam * _rotation_matrix(theta)
     operator_norm = abs(complex(1.0 - lam + lam * math.cos(theta), lam * math.sin(theta)))
-    return MappingHandle(
-        name=f"averaged_rotation({lam},{theta})",
-        evaluate=lambda x: M @ np.asarray(x, dtype=float),
-        domain=domain,
-        maps_into_domain=True,
-        meta=OperatorMeta(
-            lipschitz=operator_norm,
-            nearly_seq=zero_sequence(),
-            closed_form_power=lambda n, x: np.linalg.matrix_power(M, n)
-            @ np.asarray(x, dtype=float),
-        ),
+    return _matrix_map(
+        f"averaged_rotation({lam},{theta})", domain, M, True,
+        lipschitz=operator_norm, nearly_seq=zero_sequence(),
     )
 
 

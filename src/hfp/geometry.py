@@ -15,6 +15,7 @@ import numpy as np
 MEMBERSHIP_TOL = 1e-9
 DYKSTRA_TOL = 1e-10
 DYKSTRA_MAX_CYCLES = 10**5
+FEASIBILITY_TOL = 1e-6  # membership slack of the intersection feasibility probe
 SAMPLING_RADIUS = 10.0
 
 
@@ -155,47 +156,47 @@ class Box(ConvexSet):
 
 
 @dataclass(frozen=True, eq=False)
-class Halfspace(ConvexSet):
+class _Flat(ConvexSet):
+    """Base of Halfspace and AffineHyperplane; <normal, normal> is computed once."""
+
+    normal: np.ndarray
+    offset: float
+    _noun = "flat"  # names the set in the nonzero-normal error
+
+    def __post_init__(self):
+        object.__setattr__(self, "normal", vector(self.normal))
+        if np.linalg.norm(self.normal) == 0.0:
+            raise ProblemDefinitionError(f"{self._noun} normal must be nonzero")
+        object.__setattr__(self, "_aa", float(np.dot(self.normal, self.normal)))
+
+    @property
+    def dim(self):
+        return self.normal.size
+
+    def _onto_plane(self, x, gap: float):
+        """Projection onto the hyperplane of ``x``, where gap = <normal, x> - offset."""
+        return x - (gap / self._aa) * self.normal
+
+
+class Halfspace(_Flat):
     """The set {x : <normal, x> <= offset}."""
 
-    normal: np.ndarray
-    offset: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "normal", vector(self.normal))
-        if np.linalg.norm(self.normal) == 0.0:
-            raise ProblemDefinitionError("halfspace normal must be nonzero")
-
-    @property
-    def dim(self):
-        return self.normal.size
+    _noun = "halfspace"
 
     def _project(self, x):
-        slack = float(np.dot(self.normal, x)) - self.offset
+        slack = float(self.normal.dot(x)) - self.offset
         if slack <= 0.0:
             return x.copy()
-        return x - (slack / float(np.dot(self.normal, self.normal))) * self.normal
+        return self._onto_plane(x, slack)
 
 
-@dataclass(frozen=True, eq=False)
-class AffineHyperplane(ConvexSet):
+class AffineHyperplane(_Flat):
     """The set {x : <normal, x> = offset}."""
 
-    normal: np.ndarray
-    offset: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "normal", vector(self.normal))
-        if np.linalg.norm(self.normal) == 0.0:
-            raise ProblemDefinitionError("hyperplane normal must be nonzero")
-
-    @property
-    def dim(self):
-        return self.normal.size
+    _noun = "hyperplane"
 
     def _project(self, x):
-        gap = float(np.dot(self.normal, x)) - self.offset
-        return x - (gap / float(np.dot(self.normal, self.normal))) * self.normal
+        return self._onto_plane(x, float(self.normal.dot(x)) - self.offset)
 
 
 @dataclass(frozen=True, eq=False)
@@ -238,7 +239,7 @@ class Intersection(ConvexSet):
             f"Dykstra did not converge within {self.max_cycles} cycles", change
         )
 
-    def feasible_point(self, probe_tol: float = 1e-6) -> np.ndarray:
+    def feasible_point(self) -> np.ndarray:
         """Probe nonemptiness: project the origin and check joint membership."""
         origin = np.zeros(self.dim)
         try:
@@ -248,7 +249,7 @@ class Intersection(ConvexSet):
                 f"intersection feasibility probe failed: {exc}"
             ) from exc
         for member in self.members:
-            if not member.contains(candidate, tol=probe_tol):
+            if not member.contains(candidate, tol=FEASIBILITY_TOL):
                 raise ProblemDefinitionError(
                     "intersection feasibility probe failed: probe point is not "
                     "within every member set"

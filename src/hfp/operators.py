@@ -36,16 +36,14 @@ class NearnessSequence:
 
     ``a`` maps a positive integer index to a nonnegative real.  Construction
     probes the declared decay: values below 1e-6 from index 1e6 on, and
-    nonincreasing on a geometric grid beyond ``burn_in``.
+    nonincreasing on the geometric grid 4^k, k = 0..12.
     """
 
     a: Callable[[int], float]
-    burn_in: int = 1
 
     def __post_init__(self):
-        grid = sorted({max(self.burn_in, 1) * 4**k for k in range(13)})
         previous = None
-        for n in grid:
+        for n in [4**k for k in range(13)]:
             value = float(self.a(n))
             if not (value >= 0.0 and math.isfinite(value)):
                 raise UsageError(f"a({n}) = {value!r} is not a nonnegative real")

@@ -13,7 +13,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from .geometry import UsageError
-from .operators import NearnessSequence
+from .operators import NearnessSequence, zero_sequence
 
 TREND_TOL = 0.05
 
@@ -81,28 +81,31 @@ class ScheduleReport:
         return not self.failures()
 
 
-def _trend_ok(values: List[float], tol: float) -> bool:
+def _trend_probes(horizon: int) -> List[int]:
+    """Probes n = horizon/100, horizon/10, horizon, each >= 2 so that n - 1 >= 1."""
+    return [max(horizon // 100, 2), max(horizon // 10, 2), horizon]
+
+
+def _trend_ok(values: List[float]) -> bool:
+    """A vanishing limit's values at the probes: nonincreasing, last below TREND_TOL."""
     v1, v2, v3 = values
-    return v3 < tol and v1 >= v2 >= v3
+    return v3 < TREND_TOL and v1 >= v2 >= v3
 
 
 def validate_schedule(
-    s: Schedule,
-    a_seq: Optional[NearnessSequence] = None,
-    horizon: int = 10**6,
-    trend_tol: float = TREND_TOL,
+    s: Schedule, a_seq: Optional[NearnessSequence] = None, horizon: int = 10**6
 ) -> ScheduleReport:
     """Check the convergence-theorem conditions on {alpha_n}, {beta_n}.
 
     Each limit condition is evaluated at n in {horizon/100, horizon/10,
-    horizon} and passes iff the horizon value is below ``trend_tol`` and the
-    three probes are nonincreasing.  ``beta_n > alpha_n`` at a probe emits a
-    warning, not a failure.
+    horizon} and passes iff the horizon value is below ``TREND_TOL`` and the
+    three probes are nonincreasing; ``a_seq`` defaults to a_n = 0.
+    ``beta_n > alpha_n`` at a probe emits a warning, not a failure.
     """
     if horizon < 10**3:
         raise UsageError("horizon must be at least 1000")
-    a = a_seq if a_seq is not None else NearnessSequence(lambda n: 0.0)
-    probes = [horizon // 100, horizon // 10, horizon]
+    a = a_seq if a_seq is not None else zero_sequence()
+    probes = _trend_probes(horizon)
 
     alpha_vals, beta_vals = [], []
     for n in probes:
@@ -134,8 +137,7 @@ def validate_schedule(
         ],
     }
     numeric = {
-        name: (values[-1], _trend_ok(values, trend_tol))
-        for name, values in checks.items()
+        name: (values[-1], _trend_ok(values)) for name, values in checks.items()
     }
 
     warnings = []

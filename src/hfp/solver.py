@@ -34,7 +34,7 @@ from .geometry import (
 )
 from .fixtures import identity_map
 from .operators import MappingHandle, _power, _powers, nu_constant
-from .schedules import Schedule, validate_schedule
+from .schedules import Schedule, _trend_ok, _trend_probes, validate_schedule
 
 FIX_POINT_TOL = 1e-6
 DEFAULT_POWER_BUDGET = 10**8
@@ -159,27 +159,19 @@ class SolveReport:
 def validate_problem(p: ProblemSpec) -> List[str]:
     """All detected hypothesis violations; an empty list means valid."""
     violations = []
-    eta = p.F.meta.strong_monotone
-    lip = p.F.meta.lipschitz
+    eta, lip, gamma = p.F.meta.strong_monotone, p.F.meta.lipschitz, p.V.meta.lipschitz
     if eta is None or lip is None:
         violations.append("F must declare both L and eta")
-    else:
-        if not p.mu > 0:
-            violations.append("mu must be positive")
-        elif not p.mu < 2 * eta / lip**2:
-            violations.append(f"mu >= 2*eta/L^2 (mu={p.mu}, bound={2 * eta / lip**2})")
-        else:
-            nu = nu_constant(p.mu, eta, lip)
-            if not p.rho >= 0:
-                violations.append("rho must be nonnegative")
-            elif p.rho > 0:
-                gamma = p.V.meta.lipschitz
-                if gamma is None:
-                    violations.append("V must declare gamma when rho > 0")
-                elif not p.rho * gamma < nu:
-                    violations.append(
-                        f"rho*gamma >= nu (rho*gamma={p.rho * gamma}, nu={nu})"
-                    )
+    elif not p.mu > 0:
+        violations.append("mu must be positive")
+    elif not p.mu < 2 * eta / lip**2:
+        violations.append(f"mu >= 2*eta/L^2 (mu={p.mu}, bound={2 * eta / lip**2})")
+    elif not p.rho >= 0:
+        violations.append("rho must be nonnegative")
+    elif p.rho > 0 and gamma is None:
+        violations.append("V must declare gamma when rho > 0")
+    elif p.rho > 0 and not p.rho * gamma < (nu := nu_constant(p.mu, eta, lip)):
+        violations.append(f"rho*gamma >= nu (rho*gamma={p.rho * gamma}, nu={nu})")
 
     if not p.C.contains(p.x1):
         violations.append("initial point x1 is not in C")
@@ -190,6 +182,10 @@ def validate_problem(p: ProblemSpec) -> List[str]:
             f"T = {p.T.name} declares neither a nearness sequence nor a Lipschitz "
             "constant <= 1, so it is not known to be nearly nonexpansive"
         )
+
+    lip_S = p.S.meta.lipschitz
+    if lip_S is None or lip_S > 1.0 or not p.S.maps_into_domain:
+        violations.append(f"S = {p.S.name} is not a declared nonexpansive self-mapping")
 
     if isinstance(p.mode, FullPower) and not p.T.maps_into_domain:
         violations.append(
@@ -249,7 +245,7 @@ def _apply_mode(p: ProblemSpec, n: int, y: np.ndarray, budget: _PowerBudget):
     raise UsageError(f"unknown power mode {p.mode!r}")
 
 
-def step(p: ProblemSpec, n: int, x: np.ndarray, budget: Optional[_PowerBudget] = None):
+def step(p: ProblemSpec, n: int, x: np.ndarray):
     """One iteration; returns x_{n+1}.
 
     beta_n = 0 and alpha_n = 0 short-circuit their convex combinations so the
@@ -257,8 +253,7 @@ def step(p: ProblemSpec, n: int, x: np.ndarray, budget: Optional[_PowerBudget] =
     """
     if n < 1:
         raise UsageError("iteration index must be a positive integer")
-    if budget is None:
-        budget = _PowerBudget(p.power_budget)
+    budget = _PowerBudget(p.power_budget)
     alpha, beta = float(p.schedule.alpha(n)), float(p.schedule.beta(n))
     return _step(p, n, p.C._checked(x), alpha, beta, budget)
 
@@ -363,31 +358,25 @@ def check_power_regularity(
     s: Schedule,
     probes: List[np.ndarray],
     horizon: int = 10**4,
-    trend_tol: float = 0.05,
 ) -> RegularityReport:
     """Check the asymptotic regularity of powers required of T.
 
-    Same heuristic as the schedule validator: both quantities must be below
-    ``trend_tol`` at the horizon and nonincreasing across the three probes
-    n in {horizon/100, horizon/10, horizon}.  A raw T walks once per probe.
+    Both ||T^n x - T^{n-1} x|| and its ratio to alpha_n must pass the schedule
+    validator's trend rule at its probes n in {horizon/100, horizon/10,
+    horizon}.  A raw T walks once per probe.
     """
     if not T.maps_into_domain:
         raise UsageError("power regularity needs a self-mapping of the domain")
     if horizon < 2:
         raise UsageError("the regularity horizon must be at least 2")
-    ns = [max(horizon // 100, 2), max(horizon // 10, 2), horizon]
+    ns = _trend_probes(horizon)
     report = RegularityReport(horizon=horizon)
     for x in probes:
         x = T.domain._checked(x)
         iterates = _powers(T, sorted({m for n in ns for m in (n - 1, n)}), x)
         diffs = [_norm(iterates[n] - iterates[n - 1]) for n in ns]
         ratios = [d / float(s.alpha(n)) for d, n in zip(diffs, ns)]
-        ok = (
-            diffs[-1] < trend_tol
-            and diffs[0] >= diffs[1] >= diffs[2]
-            and ratios[-1] < trend_tol
-            and ratios[0] >= ratios[1] >= ratios[2]
-        )
+        ok = _trend_ok(diffs) and _trend_ok(ratios)
         report.per_probe.append(
             {"probe": x.tolist(), "diffs": diffs, "ratios": ratios, "passed": ok}
         )

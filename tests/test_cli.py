@@ -8,7 +8,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from hfp import cli, problemfile
@@ -56,6 +56,14 @@ OVERFLOWING = (
     .replace("x1 = 1 1", "x1 = 1e308 1e308")
     .replace("k = 3", "k = 1")
     .replace("[V]\nfixture = zero", "[V]\nfixture = contraction\nk = 10")
+)
+
+# T = 0.5x on a ball that misses the origin: T^n x -> 0 leaves C
+OFF_CENTER = (
+    EXPANDING.replace("kind = wholespace", "kind = ball\ncenter = 5 5\nradius = 1")
+    .replace("x1 = 1 1", "x1 = 5 5")
+    .replace("k = 3", "k = 0.5")
+    .replace("alpha0 = 0.5", "alpha0 = 1.0")
 )
 
 
@@ -299,6 +307,38 @@ class TestBadValues:
         assert "violation: certifiers cannot run: degenerate domain" in capsys.readouterr().out
 
 
+class TestSelfMappings:
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize(
+        "overrides, name",
+        [
+            (["S.fixture=contraction", "S.k=3"], "contraction(3.0)"),
+            (["S.fixture=constant", "S.value=100 100"], "constant"),
+        ],
+    )
+    def test_s_must_be_a_nonexpansive_self_mapping(
+        self, minnorm, tmp_path, capsys, command, overrides, name
+    ):
+        argv = [command, minnorm]
+        for item in overrides:
+            argv += ["--set", item]
+        if command == "run":
+            argv += ["--trace-out", str(tmp_path / "t.csv")]
+        assert cli.main(argv) == cli.EXIT_SEMANTIC
+        out = capsys.readouterr().out
+        assert f"violation: S = {name} is not a declared nonexpansive self-mapping" in out
+        assert not (tmp_path / "t.csv").exists()
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_contraction_needs_the_origin_in_c(self, tmp_path, command):
+        cfg = tmp_path / "off_center.cfg"
+        cfg.write_text(OFF_CENTER)
+        rc, out, _ = hfp_bench(command, cfg, cwd=tmp_path)
+        assert rc == cli.EXIT_SEMANTIC
+        assert "violation: FullPower mode needs T^n, but T = contraction(0.5) is not a" in out
+        assert not (tmp_path / "off_center.trace.csv").exists()
+
+
 class TestSweep:
     def test_grid_with_rejection(self, minnorm, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
@@ -466,4 +506,34 @@ def test_fuzzed_overrides_end_with_an_exit_code(argv):
             argv = [*argv, "--max-iters", "3", "--quiet", "--trace-out", os.path.join(tmp, "t.csv")]
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             rc = cli.main(argv)
+    assert rc in (0, 1, 2, 3, 4)
+
+
+SWEEP_P_VALUES = ["0.5", "1.5", "0", "-1", "nan", "inf"]
+VARIANTS = ["full_power", "wang_xu", "ceng", "sahu"]
+
+
+@st.composite
+def fuzz_compare_sweep_argv(draw):
+    """The overrides of ``fuzz_argv``, given to ``compare`` or ``sweep``."""
+    _, problem, *overrides = draw(fuzz_argv())
+    if draw(st.booleans()):
+        return ["compare", problem, *VARIANTS, *overrides]
+    p_values = draw(st.lists(st.sampled_from(SWEEP_P_VALUES), min_size=1, max_size=3))
+    return ["sweep", problem, *overrides, "--p-values", *p_values]
+
+
+@settings(
+    max_examples=600, deadline=None, derandomize=True, database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(argv=fuzz_compare_sweep_argv())
+def test_fuzzed_compare_and_sweep_end_with_an_exit_code(argv, tmp_path):
+    """``compare`` and ``sweep`` with any ``--set`` values, and any sweep
+    exponents, end in a documented exit code; each example overwrites the
+    same output files."""
+    flag, name = ("--trace-out", "t.csv") if argv[0] == "compare" else ("--out", "s.csv")
+    argv = [*argv, flag, str(tmp_path / name), "--max-iters", "3", "--quiet"]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        rc = cli.main(argv)
     assert rc in (0, 1, 2, 3, 4)

@@ -280,3 +280,21 @@ def test_meta_validation():
         OperatorMeta(strong_monotone=1.0)  # missing Lipschitz constant
     with pytest.raises(UsageError):
         OperatorMeta(lipschitz=1.0, strong_monotone=2.0)  # eta > L
+
+
+@pytest.mark.parametrize(
+    "domain, holds_origin",
+    [
+        (Ball(np.zeros(2), 10.0), True),
+        (Ball(np.array([5.0, 5.0]), 1.0), False),
+        (Box(np.zeros(2), np.ones(2)), True),
+        (Box(np.array([-1.0, 2.0]), np.array([1.0, 3.0])), False),
+    ],
+)
+def test_self_mapping_decided_from_the_domain(domain, holds_origin):
+    """k*x for k < 1, and the zero map, send C into C exactly when 0 is in C."""
+    assert zero_map(domain).maps_into_domain == holds_origin
+    for k in (0.0, 0.5):
+        assert contraction(domain, k).maps_into_domain == holds_origin
+    assert contraction(domain, 1.0).maps_into_domain  # the identity
+    assert not contraction(domain, 1.5).maps_into_domain

@@ -6,6 +6,7 @@ import pytest
 
 from hfp.fixtures import (
     averaged_rotation,
+    constant_map,
     contraction,
     identity_map,
     proj_affine,
@@ -108,6 +109,23 @@ class TestValidateProblem:
         # L <= 1 without a sequence, or a sequence without L, is enough
         for T in (contraction(C, 0.5), proj_affine(C, np.array([1.0, 1.0]), 2.0)):
             assert validate_problem(make_spec(C=C, T=T, mode=mode)) == []
+
+    @pytest.mark.parametrize("mode", [FullPower(), Single()])
+    def test_s_must_be_a_nonexpansive_self_mapping(self, mode):
+        C = Ball(np.zeros(2), 10.0)
+        for S in (contraction(C, 3.0), constant_map(C, [100.0, 100.0])):
+            violations = validate_problem(make_spec(S=S, mode=mode))
+            assert f"S = {S.name} is not a declared nonexpansive self-mapping" in violations
+        for S in (contraction(C, 0.8), constant_map(C, [1.0, 1.0]), zero_map(C), rotation(C, 0.3)):
+            assert validate_problem(make_spec(S=S, mode=mode)) == []
+
+    def test_contraction_needs_the_origin_in_c(self):
+        C = Ball(np.array([5.0, 5.0]), 1.0)
+        spec = make_spec(
+            C=C, T=contraction(C, 0.5), S=identity_map(C), V=zero_map(C), F=identity_map(C),
+            x1=np.array([5.0, 5.0]),
+        )
+        assert any("FullPower mode needs T^n" in v for v in validate_problem(spec))
 
 
 class TestStep:
