@@ -45,6 +45,7 @@ EXIT_NUMERIC = 4
 
 TRACE_HEADER = ",".join(TraceRow._fields)  # a trace line is one TraceRow
 FLUSH_INTERVAL = 1000
+CERTIFIER_SAMPLES = 200  # pairs per spot check of a declared constant
 
 
 def _fmt(value) -> str:
@@ -78,20 +79,34 @@ def _load(args, *extra: str) -> BuiltProblem:
     return build_problem(raw)
 
 
-def _certifier_violations(spec: ProblemSpec, samples: int = 200) -> List[str]:
+def _trace_path(args, built: BuiltProblem) -> str:
+    return args.trace_out or built.trace_path or str(
+        Path(args.problem).with_suffix(".trace.csv")
+    )
+
+
+def _violated(violations: List[str], label: str = "violation") -> bool:
+    """Print each violation under ``label``; whether there were any."""
+    for violation in violations:
+        print(f"{label}: {violation}")
+    return bool(violations)
+
+
+def _certifier_violations(spec: ProblemSpec) -> List[str]:
     """Spot-check declared fixture metadata with small-sample certifiers."""
+    samples, seed = CERTIFIER_SAMPLES, spec.seed
     certificates = []
     for label, handle in (("T", spec.T), ("S", spec.S), ("V", spec.V), ("F", spec.F)):
         meta = handle.meta
         if meta.lipschitz is not None:
-            cert = certify_lipschitz(handle, meta.lipschitz, samples, spec.seed)
+            cert = certify_lipschitz(handle, meta.lipschitz, samples, seed)
             certificates.append((f"{label} Lipschitz", cert))
         if meta.strong_monotone is not None:
-            cert = certify_strong_monotone(handle, meta.strong_monotone, samples, spec.seed)
+            cert = certify_strong_monotone(handle, meta.strong_monotone, samples, seed)
             certificates.append((f"{label} strong monotonicity", cert))
     T = spec.T
     if T.meta.nearly_seq is not None:
-        cert = certify_nearly_nonexpansive(T, T.meta.nearly_seq, 3, samples, spec.seed)
+        cert = certify_nearly_nonexpansive(T, T.meta.nearly_seq, 3, samples, seed)
         certificates.append(("T near-nonexpansiveness", cert))
     return [
         f"certifier failed: {label} (worst margin {cert.worst_margin:.3e})"
@@ -105,11 +120,11 @@ def cmd_validate(args) -> int:
     violations = validate_problem(built.spec)
     try:
         violations.extend(_certifier_violations(built.spec))
-    except UsageError as exc:  # a one-point domain has no pairs to sample
+    # a one-point domain has no pairs to sample, and the projection that
+    # samples some other domains may not converge
+    except (UsageError, NumericError) as exc:
         violations.append(f"certifiers cannot run: {exc}")
-    if violations:
-        for violation in violations:
-            print(f"violation: {violation}")
+    if _violated(violations):
         return EXIT_SEMANTIC
     print("valid")
     return EXIT_OK
@@ -135,10 +150,7 @@ def _summary(report: SolveReport, trace_path: str, quiet: bool):
 def cmd_run(args) -> int:
     built = _load(args)
     spec, stop = built.spec, built.stop
-    violations = validate_problem(spec)
-    if violations:
-        for violation in violations:
-            print(f"violation: {violation}")
+    if _violated(validate_problem(spec)):
         return EXIT_SEMANTIC
     if isinstance(spec.mode, FullPower):
         regularity = check_power_regularity(spec.T, spec.schedule, [spec.x1])
@@ -149,9 +161,7 @@ def cmd_run(args) -> int:
                 file=sys.stderr,
             )
     report = solve(spec, stop, collect_timing=args.timing, check_valid=False)
-    trace_path = args.trace_out or built.trace_path or str(
-        Path(args.problem).with_suffix(".trace.csv")
-    )
+    trace_path = _trace_path(args, built)
     write_trace(trace_path, report)
     _summary(report, trace_path, args.quiet)
     return EXIT_OK if report.stop_reason != "budget" else EXIT_BUDGET
@@ -169,17 +179,12 @@ def cmd_compare(args) -> int:
             print(f"variant {variant!r} is not applicable: {exc}", file=sys.stderr)
             return EXIT_SEMANTIC
 
-    trace_base = args.trace_out or base.trace_path or str(
-        Path(args.problem).with_suffix(".trace.csv")
-    )
+    trace_base = _trace_path(args, base)
     stem = trace_base[:-4] if trace_base.endswith(".csv") else trace_base
 
     rows = []
     for variant, spec in specs.items():
-        violations = validate_problem(spec)
-        if violations:
-            for violation in violations:
-                print(f"violation ({variant}): {violation}")
+        if _violated(validate_problem(spec), f"violation ({variant})"):
             return EXIT_SEMANTIC
         try:
             report = solve(spec, base.stop, check_valid=False)

@@ -23,6 +23,7 @@ from .geometry import (
     ConvexSet,
     Halfspace,
     Intersection,
+    NumericError,
     ProblemDefinitionError,
     UsageError,
     WholeSpace,
@@ -71,25 +72,20 @@ def _read(section: str, pairs: Dict[str, str], key: str, convert, what: str):
         ) from exc
 
 
-def _float(section: str, pairs: Dict[str, str], key: str) -> float:
-    return _read(section, pairs, key, _real, "a finite real number")
-
-
-def _int(section: str, pairs: Dict[str, str], key: str) -> int:
-    return _read(section, pairs, key, int, "an integer")
-
-
-def _vec(section: str, pairs: Dict[str, str], key: str) -> np.ndarray:
-    return _read(section, pairs, key, _reals, "a vector of finite reals")
-
-
-def _vecs(section: str, pairs: Dict[str, str], key: str) -> List[np.ndarray]:
-    """A ``;``-separated list of vectors; empty items are skipped."""
-
-    def convert(text):
-        return [_reals(item) for item in text.split(";") if item.strip()]
-
-    return _read(section, pairs, key, convert, "a list of vectors of finite reals")
+# A reader is (convert, what): ``convert`` turns a value's text into the value or
+# raises ValueError, and ``what`` names the expected form in the parse error.
+_REAL = (_real, "a finite real number")
+_INT = (int, "an integer")
+_VECTOR = (_reals, "a vector of finite reals")
+_VECTORS = (  # ``;``-separated; empty items are skipped
+    lambda text: [_reals(item) for item in text.split(";") if item.strip()],
+    "a list of vectors of finite reals",
+)
+_TOL = (  # a stop tolerance; ``none`` disables its rule
+    lambda text: None if text.lower() == "none" else float(text),
+    "a real number or 'none'",
+)
+_TEXT = (str, "text")
 
 
 def _check_dim(what: str, size: int, dimension: int):
@@ -107,11 +103,11 @@ def _check_dim(what: str, size: int, dimension: int):
 
 _SET_KINDS = {
     "wholespace": ((), WholeSpace),
-    "ball": ((("center", _vec), ("radius", _float)), lambda _, c, r: Ball(c, r)),
-    "box": ((("lower", _vec), ("upper", _vec)), lambda _, lower, upper: Box(lower, upper)),
-    "halfspace": ((("normal", _vec), ("offset", _float)), lambda _, a, b: Halfspace(a, b)),
+    "ball": ((("center", _VECTOR), ("radius", _REAL)), lambda _, c, r: Ball(c, r)),
+    "box": ((("lower", _VECTOR), ("upper", _VECTOR)), lambda _, lower, upper: Box(lower, upper)),
+    "halfspace": ((("normal", _VECTOR), ("offset", _REAL)), lambda _, a, b: Halfspace(a, b)),
     "hyperplane": (
-        (("normal", _vec), ("offset", _float)),
+        (("normal", _VECTOR), ("offset", _REAL)),
         lambda _, a, b: AffineHyperplane(a, b),
     ),
 }
@@ -128,16 +124,16 @@ def _sahu_step(domain: ConvexSet):
 _FIXTURES = {
     "identity": ((), lambda C: fixtures.identity_map(C)),
     "zero": ((), lambda C: fixtures.zero_map(C)),
-    "constant": ((("value", _vec),), lambda C, value: fixtures.constant_map(C, value)),
-    "contraction": ((("k", _float),), lambda C, k: fixtures.contraction(C, k)),
-    "linear": ((("diag", _vec),), lambda C, diag: fixtures.linear_map(C, np.diag(diag))),
+    "constant": ((("value", _VECTOR),), lambda C, value: fixtures.constant_map(C, value)),
+    "contraction": ((("k", _REAL),), lambda C, k: fixtures.contraction(C, k)),
+    "linear": ((("diag", _VECTOR),), lambda C, diag: fixtures.linear_map(C, np.diag(diag))),
     "proj_affine": (
-        (("normal", _vec), ("offset", _float)),
+        (("normal", _VECTOR), ("offset", _REAL)),
         lambda C, a, b: fixtures.proj_affine(C, a, b),
     ),
-    "rotation": ((("theta", _float),), lambda C, theta: fixtures.rotation(C, theta)),
+    "rotation": ((("theta", _REAL),), lambda C, theta: fixtures.rotation(C, theta)),
     "averaged_rotation": (
-        (("lam", _float), ("theta", _float)),
+        (("lam", _REAL), ("theta", _REAL)),
         lambda C, lam, theta: fixtures.averaged_rotation(C, lam, theta),
     ),
     "sahu_step": ((), _sahu_step),
@@ -165,22 +161,39 @@ def _convex_subset(dimension: int, subset: ConvexSet, n_probes: int) -> ConvexSu
 
 
 _FIX_SETS = {
-    "singleton": ((("point", _vec),), _singleton),
+    "singleton": ((("point", _VECTOR),), _singleton),
     "convex_subset": (
-        (("set_kind", _SET_KINDS), ("n_probes", _int, DEFAULT_N_PROBES)),
+        (("set_kind", _SET_KINDS), ("n_probes", _INT, DEFAULT_N_PROBES)),
         _convex_subset,
     ),
-    "sampled": ((("points", _vecs),), _sampled),
+    "sampled": ((("points", _VECTORS),), _sampled),
 }
 
-_REQUIRED_SECTIONS = ("problem", "set", "T", "S", "V", "F", "schedule")
+# Each fixed section is a tuple of fields, as a catalog entry is; the walks
+# below read the sections, and report their faults, in this order.
+_SECTIONS = {
+    "problem": (
+        ("dimension", _INT), ("rho", _REAL), ("mu", _REAL), ("variant", _TEXT), ("x1", _VECTOR),
+        ("seed", _INT, ProblemSpec.seed), ("reference", _VECTOR, None),
+    ),
+    "set": (("kind", _SET_KINDS),),
+    **{mapping: (("fixture", _FIXTURES),) for mapping in "TSVF"},
+    # power_schedule's argument order
+    "schedule": (("alpha0", _REAL), ("p", _REAL), ("beta0", _REAL), ("q", _REAL)),
+    "fix_set": (("kind", _FIX_SETS),),
+    "stop": (
+        ("max_iters", _INT, StopRule.max_iters),
+        ("tol_step", _TOL, StopRule.tol_step),
+        ("tol_fix", _TOL, StopRule.tol_fix),
+        ("tol_vi", _TOL, StopRule.tol_vi),
+    ),
+    "output": (("trace", _TEXT, None),),
+}
 _OPTIONAL_SECTIONS = ("fix_set", "stop", "output")
-
-_PROBLEM_KEYS = ("dimension", "rho", "mu", "variant", "x1")
-_PROBLEM_OPT_KEYS = ("seed", "reference")
-_SCHEDULE_KEYS = ("alpha0", "p", "beta0", "q")  # power_schedule's argument order
-_STOP_KEYS = ("max_iters", "tol_step", "tol_fix", "tol_vi")
-_OUTPUT_KEYS = ("trace",)
+_REQUIRED_SECTIONS = tuple(s for s in _SECTIONS if s not in _OPTIONAL_SECTIONS)
+# ``[set]`` when it is an intersection; each member is a ``[set.<name>]``
+# section with the fields of ``[set]``
+_INTERSECTION = (("kind", _TEXT), ("members", _TEXT))
 
 
 def parse_problem_file(path: str) -> RawConfig:
@@ -233,15 +246,6 @@ def apply_overrides(raw: RawConfig, overrides: List[str]) -> RawConfig:
     return updated
 
 
-def _check_keys(section: str, pairs: Dict[str, str], required, optional=()):
-    for key in pairs:
-        if key not in required and key not in optional:
-            raise ProblemFileParseError(f"unknown key {key!r} in section [{section}]")
-    for key in required:
-        if key not in pairs:
-            raise ProblemFileParseError(f"missing key {key!r} in section [{section}]")
-
-
 def _entry(section: str, pairs: Dict[str, str], selector: str, catalog: dict):
     """The (fields, build) entry of ``catalog`` that ``pairs[selector]`` names."""
     if selector not in pairs:
@@ -252,37 +256,40 @@ def _entry(section: str, pairs: Dict[str, str], selector: str, catalog: dict):
     return catalog[name]
 
 
-def _entry_keys(section: str, pairs: Dict[str, str], selector: str, catalog: dict):
-    """The required and the optional keys of the entry ``pairs[selector]`` names."""
-    fields, _ = _entry(section, pairs, selector, catalog)
-    required, optional = [selector], []
+def _declared(section: str, pairs: Dict[str, str], fields) -> Dict[str, bool]:
+    """Each key of ``fields``, mapped to whether it is required; a catalog
+    field adds the keys of the entry it selects."""
+    declared = {}
     for key, read, *default in fields:
+        declared[key] = not default
         if isinstance(read, dict):
-            nested_required, nested_optional = _entry_keys(section, pairs, key, read)
-            required += nested_required
-            optional += nested_optional
-        else:
-            (optional if default else required).append(key)
-    return required, optional
+            declared.update(_declared(section, pairs, _entry(section, pairs, key, read)[0]))
+    return declared
 
 
-def _check_entry(section: str, pairs: Dict[str, str], selector: str, catalog: dict):
-    _check_keys(section, pairs, *_entry_keys(section, pairs, selector, catalog))
+def _check_keys(section: str, pairs: Dict[str, str], fields):
+    declared = _declared(section, pairs, fields)
+    for key in pairs:
+        if key not in declared:
+            raise ProblemFileParseError(f"unknown key {key!r} in section [{section}]")
+    for key, required in declared.items():
+        if required and key not in pairs:
+            raise ProblemFileParseError(f"missing key {key!r} in section [{section}]")
 
 
-def _build_entry(
-    section: str, pairs: Dict[str, str], selector: str, catalog: dict, context
-):
-    fields, build = _entry(section, pairs, selector, catalog)
+def _values(section: str, pairs: Dict[str, str], fields, context) -> list:
+    """The value of each field in order: read, defaulted, or for a catalog
+    field the entry it selects, built on ``context``."""
     values = []
     for key, read, *default in fields:
         if isinstance(read, dict):
-            values.append(_build_entry(section, pairs, key, read, context))
+            entry_fields, build = read[pairs[key]]
+            values.append(build(context, *_values(section, pairs, entry_fields, context)))
         elif key in pairs:
-            values.append(read(section, pairs, key))
+            values.append(_read(section, pairs, key, *read))
         else:
             values.append(default[0])
-    return build(context, *values)
+    return values
 
 
 def validate_raw(raw: RawConfig):
@@ -290,43 +297,28 @@ def validate_raw(raw: RawConfig):
         if section not in raw:
             raise ProblemFileParseError(f"missing section [{section}]")
 
-    member_sections = []
+    sections = dict(_SECTIONS)
     if raw["set"].get("kind") == "intersection":
         members = raw["set"].get("members", "").split()
         if not members:
             raise ProblemFileParseError("intersection needs a 'members' list")
+        sections["set"] = _INTERSECTION
         # declaration order, so the first missing member is the one named
-        member_sections = list(dict.fromkeys(f"set.{token}" for token in members))
-        for name in member_sections:
+        for name in dict.fromkeys(f"set.{token}" for token in members):
             if name not in raw:
                 raise ProblemFileParseError(f"missing member section [{name}]")
+            sections[name] = _SECTIONS["set"]
 
     for section in raw:
-        if (
-            section not in _REQUIRED_SECTIONS
-            and section not in _OPTIONAL_SECTIONS
-            and section not in member_sections
-        ):
+        if section not in sections:
             raise ProblemFileParseError(f"unknown section [{section}]")
-
-    _check_keys("problem", raw["problem"], _PROBLEM_KEYS, _PROBLEM_OPT_KEYS)
+    for section, fields in sections.items():
+        if section in raw:
+            _check_keys(section, raw[section], fields)
     if raw["problem"]["variant"] not in VARIANTS:
         raise ProblemFileParseError(
             f"unknown variant {raw['problem']['variant']!r}; choose from {VARIANTS}"
         )
-    if member_sections:
-        _check_keys("set", raw["set"], ("kind", "members"))
-    else:
-        _check_entry("set", raw["set"], "kind", _SET_KINDS)
-    for name in member_sections:
-        _check_entry(name, raw[name], "kind", _SET_KINDS)
-    for name in ("T", "S", "V", "F"):
-        _check_entry(name, raw[name], "fixture", _FIXTURES)
-    _check_keys("schedule", raw["schedule"], _SCHEDULE_KEYS)
-    if "fix_set" in raw:
-        _check_entry("fix_set", raw["fix_set"], "kind", _FIX_SETS)
-    for section, keys in (("stop", _STOP_KEYS), ("output", _OUTPUT_KEYS)):
-        _check_keys(section, raw.get(section, {}), (), keys)
 
 
 def _build_set(raw: RawConfig, section: str, dimension: int) -> ConvexSet:
@@ -334,28 +326,9 @@ def _build_set(raw: RawConfig, section: str, dimension: int) -> ConvexSet:
     if pairs["kind"] == "intersection":
         members = pairs["members"].split()
         return Intersection(tuple(_build_set(raw, f"set.{m}", dimension) for m in members))
-    built = _build_entry(section, pairs, "kind", _SET_KINDS, dimension)
+    (built,) = _values(section, pairs, _SECTIONS["set"], dimension)
     _check_dim(section, built.dim, dimension)
     return built
-
-
-def _tol(section: str, pairs: Dict[str, str], key: str) -> Optional[float]:
-    """A stop tolerance; ``none`` disables its rule."""
-
-    def convert(text):
-        return None if text.lower() == "none" else float(text)
-
-    return _read(section, pairs, key, convert, "a real number or 'none'")
-
-
-def _build_stop(pairs: Dict[str, str]) -> StopRule:
-    max_iters = StopRule.max_iters
-    if "max_iters" in pairs:
-        max_iters = _int("stop", pairs, "max_iters")
-        if max_iters < 1:
-            raise ProblemFileSemanticError(f"stop.max_iters = {max_iters} is below 1")
-    tolerances = {key: _tol("stop", pairs, key) for key in _STOP_KEYS[1:] if key in pairs}
-    return StopRule(max_iters, **tolerances)
 
 
 @dataclass
@@ -369,47 +342,34 @@ def build_problem(raw: RawConfig) -> BuiltProblem:
     """Turn a validated raw config into solver objects.
 
     Schema/type problems raise :class:`ProblemFileParseError`; geometric or
-    analytic inconsistencies raise :class:`ProblemFileSemanticError`.
+    analytic inconsistencies, and a domain whose projection fails while the
+    problem is built, raise :class:`ProblemFileSemanticError`.
     """
-    prob = raw["problem"]
-    dimension = _int("problem", prob, "dimension")
+
+    def values(section: str, context=None) -> list:
+        return _values(section, raw.get(section, {}), _SECTIONS[section], context)
+
+    dimension, rho, mu, variant, x1, seed, reference = values("problem")
     if dimension < 1:
         raise ProblemFileSemanticError("dimension must be positive")
     try:
         C = _build_set(raw, "set", dimension)
-        T, S, V, F = (_build_entry(m, raw[m], "fixture", _FIXTURES, C) for m in "TSVF")
-        schedule = power_schedule(
-            *(_float("schedule", raw["schedule"], key) for key in _SCHEDULE_KEYS)
-        )
-        x1 = _vec("problem", prob, "x1")
+        T, S, V, F = (values(m, C)[0] for m in "TSVF")
+        schedule = power_schedule(*values("schedule"))
         _check_dim("x1", x1.size, dimension)
-        reference = None
-        if "reference" in prob:
-            reference = _vec("problem", prob, "reference")
+        if reference is not None:
             _check_dim("reference", reference.size, dimension)
-        seed = _int("problem", prob, "seed") if "seed" in prob else 0
         if seed < 0:
             raise ProblemFileSemanticError(f"problem.seed = {seed} is below 0")
-        fix_set = None
-        if "fix_set" in raw:
-            fix_set = _build_entry("fix_set", raw["fix_set"], "kind", _FIX_SETS, dimension)
+        fix_set = values("fix_set", dimension)[0] if "fix_set" in raw else None
         base = ProblemSpec(
-            C=C,
-            T=T,
-            S=S,
-            V=V,
-            F=F,
-            rho=_float("problem", prob, "rho"),
-            mu=_float("problem", prob, "mu"),
-            schedule=schedule,
-            mode=FullPower(),
-            x1=x1,
-            fix_set=fix_set,
-            reference=reference,
-            seed=seed,
+            C=C, T=T, S=S, V=V, F=F, rho=rho, mu=mu, schedule=schedule, mode=FullPower(),
+            x1=x1, fix_set=fix_set, reference=reference, seed=seed,
         )
-        spec = reduce_variant(base, prob["variant"])
-    except (ProblemDefinitionError, UsageError) as exc:
+        spec = reduce_variant(base, variant)
+    except (ProblemDefinitionError, UsageError, NumericError) as exc:
         raise ProblemFileSemanticError(str(exc)) from exc
-    stop = _build_stop(raw.get("stop", {}))
-    return BuiltProblem(spec, stop, raw.get("output", {}).get("trace"))
+    max_iters, *tolerances = values("stop")
+    if max_iters < 1:
+        raise ProblemFileSemanticError(f"stop.max_iters = {max_iters} is below 1")
+    return BuiltProblem(spec, StopRule(max_iters, *tolerances), *values("output"))

@@ -448,6 +448,37 @@ def test_exit_codes_without_traceback(minnorm, tmp_path, argv, code, stream, tex
     assert text in {"out": out, "err": err}[stream]
 
 
+# C is the intersection of the unit balls about 0 and (2, 0), which touch only
+# at (1, 0); from most points Dykstra's projection onto C is too slow to finish
+TANGENT = (
+    EXPANDING.replace("x1 = 1 1", "x1 = 1 0")
+    .replace("kind = wholespace", "kind = intersection\nmembers = a b")
+    .replace("k = 3", "k = 1")
+    + "\n[set.a]\nkind = ball\ncenter = 0 0\nradius = 1\n"
+    + "\n[set.b]\nkind = ball\ncenter = 2 0\nradius = 1\n"
+)
+
+
+@pytest.mark.parametrize(
+    "command, v_section, stream, text",
+    [
+        # building V = 0 1 tests whether (0, 1) lies in C
+        ("validate", "fixture = constant\nvalue = 0 1", "err", "invalid problem: Dykstra did not converge"),
+        ("run", "fixture = constant\nvalue = 0 1", "err", "invalid problem: Dykstra did not converge"),
+        # (0, 0) projects at once, but the certifiers' sample points do not
+        ("validate", "fixture = zero", "out", "violation: certifiers cannot run: Dykstra did not converge"),
+    ],
+)
+def test_unconverged_projection_on_tangent_balls(tmp_path, command, v_section, stream, text):
+    """A projection onto C that does not converge makes the problem invalid
+    (exit 1), in a fresh interpreter, with no traceback."""
+    problem = tmp_path / "tangent.cfg"
+    problem.write_text(TANGENT.replace("[V]\nfixture = zero", f"[V]\n{v_section}"))
+    rc, out, err = hfp_bench(command, problem, cwd=tmp_path)
+    assert rc == cli.EXIT_SEMANTIC
+    assert text in {"out": out, "err": err}[stream]
+
+
 def _catalog_keys(catalog):
     """Every key a problem-file catalog declares, nested catalogs included."""
     keys = set()
@@ -466,17 +497,18 @@ TABLE_KEYS = sorted(
     + [f"fix_set.{key}" for key in _catalog_keys(problemfile._FIX_SETS) | {"kind"}]
     + [f"problem.{key}" for key in ("seed", "reference")]
 )
+SHIPPED_RAW = {
+    name: problemfile.parse_problem_file(str(PROBLEMS_DIR / f"{name}.cfg")) for name in SHIPPED
+}
 # the keys each shipped file sets, so that half the draws change a value in place
 FILE_KEYS = {
     name: sorted(
         f"{section}.{key}"
-        for section, pairs in problemfile.parse_problem_file(
-            str(PROBLEMS_DIR / f"{name}.cfg")
-        ).items()
+        for section, pairs in raw.items()
         for key in pairs
         if section != "output" and key != "variant"
     )
-    for name in SHIPPED
+    for name, raw in SHIPPED_RAW.items()
 }
 # wrong-length vectors, non-numbers, 0, negatives, nan, inf and small ints; no
 # large ints, since n_probes = 10**7 would sample 10**7 points
@@ -485,14 +517,49 @@ FUZZ_VALUES += ["0 0", "1 1", "1 0", "0 1 2", "1; 2", "0.5; x", "none"]
 CATALOG_NAMES = sorted({*problemfile._SET_KINDS, *problemfile._FIXTURES, *problemfile._FIX_SETS})
 
 
+def _readers(fields):
+    """(key, reader) of each field, and of each field of every catalog entry."""
+    for key, read, *_ in fields:
+        yield key, read
+        if isinstance(read, dict):
+            for entry_fields, _ in read.values():
+                yield from _readers(entry_fields)
+
+
+READERS = {
+    f"{section}.{key}": read
+    for section, fields in problemfile._SECTIONS.items()
+    for key, read in _readers(fields)
+}
+
+
+def reader_values(read, dimension):
+    """Text that ``read`` accepts: a name of its catalog, a finite real, a
+    small positive int, or vectors of length ``dimension``."""
+    if isinstance(read, dict):
+        return st.sampled_from(sorted(read))
+    real = st.integers(-8, 8).map(lambda i: repr(i / 4))
+    vector = st.lists(real, min_size=dimension, max_size=dimension).map(" ".join)
+    return {
+        problemfile._REAL: real,
+        problemfile._TOL: real,
+        problemfile._INT: st.integers(1, 5).map(str),
+        problemfile._VECTOR: vector,
+        problemfile._VECTORS: st.lists(vector, min_size=1, max_size=3).map("; ".join),
+    }[read]
+
+
 @st.composite
 def fuzz_argv(draw):
     name = draw(st.sampled_from(SHIPPED))
+    dimension = int(SHIPPED_RAW[name]["problem"]["dimension"])
     argv = [draw(st.sampled_from(["validate", "run"])), str(PROBLEMS_DIR / f"{name}.cfg")]
     for _ in range(draw(st.integers(1, 2))):
         key = draw(st.one_of(st.sampled_from(FILE_KEYS[name]), st.sampled_from(TABLE_KEYS)))
-        selects = key.endswith(("kind", "fixture"))
-        value = draw(st.sampled_from(CATALOG_NAMES if selects else FUZZ_VALUES))
+        read = READERS[key]
+        alphabet = CATALOG_NAMES if isinstance(read, dict) else FUZZ_VALUES
+        # half valid for the key's own reader, half from the alphabet
+        value = draw(st.one_of(reader_values(read, dimension), st.sampled_from(alphabet)))
         argv += ["--set", f"{key}={value}"]
     return argv
 

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hfp import fixtures
+from hfp import fixtures, problemfile
 from hfp.geometry import Ball, Intersection, WholeSpace
 from hfp.problemfile import (
     ProblemFileParseError,
@@ -16,7 +16,15 @@ from hfp.problemfile import (
     parse_problem_text,
     serialize,
 )
-from hfp.solver import ConvexSubset, FullPower, Single, Singleton
+from hfp.solver import (
+    DEFAULT_N_PROBES,
+    ConvexSubset,
+    FullPower,
+    ProblemSpec,
+    Single,
+    Singleton,
+    StopRule,
+)
 from conftest import child_env
 
 PROBLEMS_DIR = Path(__file__).resolve().parent.parent / "problems"
@@ -357,3 +365,36 @@ class TestBuild:
         for name in ("minnorm", "sahu_step", "rotation_fullpower"):
             built = build_problem(parse_problem_file(str(PROBLEMS_DIR / f"{name}.cfg")))
             assert built.spec.C.contains(built.spec.x1)
+
+
+def test_defaults_come_from_their_owners():
+    text = with_lines("[fix_set]", "kind = convex_subset", "set_kind = wholespace")
+    built = build_problem(parse_problem_text(text))
+    assert built.stop == StopRule() == StopRule(100000, 1e-10, 1e-8, 1e-8)
+    assert built.spec.seed == ProblemSpec.seed == 0
+    assert built.spec.fix_set.n_probes == DEFAULT_N_PROBES == 32
+    assert built.spec.reference is None and built.trace_path is None
+
+
+def _documented_names(fields):
+    """Every key of ``fields``, and every entry name and key of the catalogs
+    they select."""
+    for key, read, *_ in fields:
+        yield key
+        if isinstance(read, dict):
+            for name, (entry_fields, _) in read.items():
+                yield name
+                yield from _documented_names(entry_fields)
+
+
+def test_readme_documents_every_problem_file_key():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    docs = readme[readme.index("### Problem files"):readme.index("### Fixture caveat")]
+    names = {
+        name
+        for fields in (*problemfile._SECTIONS.values(), problemfile._INTERSECTION)
+        for name in _documented_names(fields)
+    }
+    missing = sorted(f"`{name}`" for name in names if f"`{name}`" not in docs)
+    missing += [f"`[{s}]`" for s in problemfile._SECTIONS if f"`[{s}]`" not in docs]
+    assert not missing, f"README's problem-file section does not document {missing}"
