@@ -52,14 +52,9 @@ from .schedules import (
     validate_schedule,
 )
 from .solver import (
-    ConvexSubset,
-    FixSetDescriptor,
     FullPower,
-    MappingSequence,
     ProblemSpec,
-    SampledPoints,
     Single,
-    Singleton,
     SolveReport,
     StopRule,
     check_power_regularity,

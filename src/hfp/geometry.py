@@ -2,8 +2,8 @@
 
 The ambient space is R^d with the standard inner product.  Every set in the
 catalog supports an exact (closed-form) projection except ``Intersection``,
-which runs Dykstra's alternating projection algorithm to a configured
-tolerance.
+which runs Dykstra's alternating projection algorithm to the tolerance
+``DYKSTRA_TOL``.
 """
 from __future__ import annotations
 
@@ -207,8 +207,6 @@ class Intersection(ConvexSet):
     """
 
     members: tuple
-    tol: float = DYKSTRA_TOL
-    max_cycles: int = DYKSTRA_MAX_CYCLES
 
     def __post_init__(self):
         members = tuple(self.members)
@@ -226,17 +224,17 @@ class Intersection(ConvexSet):
     def _project(self, x):
         cur = x.copy()
         increments = [np.zeros_like(x) for _ in self.members]
-        for _ in range(self.max_cycles):
+        for _ in range(DYKSTRA_MAX_CYCLES):
             prev = cur
             for i, member in enumerate(self.members):
                 shifted = cur + increments[i]
                 cur = member._project(shifted)
                 increments[i] = shifted - cur
             change = _norm(cur - prev)
-            if change <= self.tol:
+            if change <= DYKSTRA_TOL:
                 return cur
         raise DykstraError(
-            f"Dykstra did not converge within {self.max_cycles} cycles", change
+            f"Dykstra did not converge within {DYKSTRA_MAX_CYCLES} cycles", change
         )
 
     def feasible_point(self) -> np.ndarray:

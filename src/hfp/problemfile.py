@@ -27,19 +27,10 @@ from .geometry import (
     ProblemDefinitionError,
     UsageError,
     WholeSpace,
+    sample,
 )
 from .schedules import power_schedule
-from .solver import (
-    DEFAULT_N_PROBES,
-    ConvexSubset,
-    FullPower,
-    ProblemSpec,
-    SampledPoints,
-    Singleton,
-    StopRule,
-    VARIANTS,
-    reduce_variant,
-)
+from .solver import FullPower, ProblemSpec, StopRule, VARIANTS, reduce_variant
 
 RawConfig = Dict[str, Dict[str, str]]
 
@@ -99,10 +90,11 @@ def _check_dim(what: str, size: int, dimension: int):
 # (key, reader, default) for an optional key; a field whose reader is itself a
 # catalog names one of its entries, whose keys then sit in the same section.
 # ``build(context, *values)`` gets the fields' values in order; the context is
-# the declared dimension, or the domain C for a mapping.
+# the pair (declared dimension, problem seed) for a set or fix set, or the
+# domain C for a mapping.
 
 _SET_KINDS = {
-    "wholespace": ((), WholeSpace),
+    "wholespace": ((), lambda space: WholeSpace(space[0])),
     "ball": ((("center", _VECTOR), ("radius", _REAL)), lambda _, c, r: Ball(c, r)),
     "box": ((("lower", _VECTOR), ("upper", _VECTOR)), lambda _, lower, upper: Box(lower, upper)),
     "halfspace": ((("normal", _VECTOR), ("offset", _REAL)), lambda _, a, b: Halfspace(a, b)),
@@ -140,24 +132,29 @@ _FIXTURES = {
 }
 
 
-def _singleton(dimension: int, point: np.ndarray) -> Singleton:
-    _check_dim("fix_set point", point.size, dimension)
-    return Singleton(point)
+DEFAULT_N_PROBES = 32  # convex_subset points when the file gives no n_probes
 
 
-def _sampled(dimension: int, points: List[np.ndarray]) -> SampledPoints:
+# Each fix-set builder returns the points that probe Fix(T).
+def _singleton(space, point: np.ndarray) -> List[np.ndarray]:
+    return _sampled(space, [point])
+
+
+def _sampled(space, points: List[np.ndarray]) -> List[np.ndarray]:
     if not points:
         raise ProblemFileParseError("fix_set 'points' list is empty")
     for point in points:
-        _check_dim("fix_set point", point.size, dimension)
-    return SampledPoints(points)
+        _check_dim("fix_set point", point.size, space[0])
+    return points
 
 
-def _convex_subset(dimension: int, subset: ConvexSet, n_probes: int) -> ConvexSubset:
+def _convex_subset(space, subset: ConvexSet, n_probes: int) -> List[np.ndarray]:
+    dimension, seed = space
     _check_dim("fix_set", subset.dim, dimension)
     if n_probes < 1:
         raise ProblemFileSemanticError(f"fix_set.n_probes = {n_probes} is below 1")
-    return ConvexSubset(subset, n_probes)
+    rng = np.random.default_rng(seed)
+    return [sample(subset, rng) for _ in range(n_probes)]
 
 
 _FIX_SETS = {
@@ -321,13 +318,13 @@ def validate_raw(raw: RawConfig):
         )
 
 
-def _build_set(raw: RawConfig, section: str, dimension: int) -> ConvexSet:
+def _build_set(raw: RawConfig, section: str, space) -> ConvexSet:
     pairs = raw[section]
     if pairs["kind"] == "intersection":
         members = pairs["members"].split()
-        return Intersection(tuple(_build_set(raw, f"set.{m}", dimension) for m in members))
-    (built,) = _values(section, pairs, _SECTIONS["set"], dimension)
-    _check_dim(section, built.dim, dimension)
+        return Intersection(tuple(_build_set(raw, f"set.{m}", space) for m in members))
+    (built,) = _values(section, pairs, _SECTIONS["set"], space)
+    _check_dim(section, built.dim, space[0])
     return built
 
 
@@ -352,8 +349,9 @@ def build_problem(raw: RawConfig) -> BuiltProblem:
     dimension, rho, mu, variant, x1, seed, reference = values("problem")
     if dimension < 1:
         raise ProblemFileSemanticError("dimension must be positive")
+    space = (dimension, seed)
     try:
-        C = _build_set(raw, "set", dimension)
+        C = _build_set(raw, "set", space)
         T, S, V, F = (values(m, C)[0] for m in "TSVF")
         schedule = power_schedule(*values("schedule"))
         _check_dim("x1", x1.size, dimension)
@@ -361,10 +359,10 @@ def build_problem(raw: RawConfig) -> BuiltProblem:
             _check_dim("reference", reference.size, dimension)
         if seed < 0:
             raise ProblemFileSemanticError(f"problem.seed = {seed} is below 0")
-        fix_set = values("fix_set", dimension)[0] if "fix_set" in raw else None
+        fix_points = values("fix_set", space)[0] if "fix_set" in raw else None
         base = ProblemSpec(
             C=C, T=T, S=S, V=V, F=F, rho=rho, mu=mu, schedule=schedule, mode=FullPower(),
-            x1=x1, fix_set=fix_set, reference=reference, seed=seed,
+            x1=x1, fix_points=fix_points, reference=reference, seed=seed,
         )
         spec = reduce_variant(base, variant)
     except (ProblemDefinitionError, UsageError, NumericError) as exc:

@@ -3,8 +3,7 @@
 One iteration, for n >= 1:
 
     y_n     = beta_n * S(x_n) + (1 - beta_n) * x_n
-    z_n     = T^n y_n          (FullPower; Single applies T once,
-                                MappingSequence applies the n-th mapping)
+    z_n     = T^n y_n          (FullPower; Single applies T once)
     x_{n+1} = P_C[ alpha_n * rho * V(x_n) + z_n - alpha_n * mu * F(z_n) ]
 
 The scheme converges to the unique solution of the variational inequality
@@ -16,7 +15,7 @@ from __future__ import annotations
 import dataclasses
 import time
 from dataclasses import dataclass, field
-from typing import Callable, List, NamedTuple, Optional
+from typing import List, NamedTuple, Optional
 
 import numpy as np
 
@@ -29,7 +28,6 @@ from .geometry import (
     WholeSpace,
     _norm,
     norm,
-    sample,
     vector,
 )
 from .fixtures import identity_map
@@ -37,8 +35,7 @@ from .operators import MappingHandle, _power, _powers, nu_constant
 from .schedules import Schedule, _trend_ok, _trend_probes, validate_schedule
 
 FIX_POINT_TOL = 1e-6
-DEFAULT_POWER_BUDGET = 10**8
-DEFAULT_N_PROBES = 32
+POWER_BUDGET = 10**8  # raw T evaluations one solve or step may spend
 
 
 class PowerMode:
@@ -56,56 +53,14 @@ class Single(PowerMode):
 
 
 @dataclass(frozen=True)
-class MappingSequence(PowerMode):
-    """Apply the n-th mapping of a sequence {T_n} once per iteration."""
-
-    mapping_for: Callable[[int], MappingHandle]
-
-    @staticmethod
-    def constant(T: MappingHandle) -> "MappingSequence":
-        return MappingSequence(mapping_for=lambda n: T)
-
-
-class FixSetDescriptor:
-    """Declared knowledge about Fix(T), used for VI residual probes."""
-
-
-@dataclass(frozen=True, eq=False)
-class Singleton(FixSetDescriptor):
-    point: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "point", vector(self.point))
-
-
-@dataclass(frozen=True)
-class ConvexSubset(FixSetDescriptor):
-    subset: ConvexSet
-    n_probes: int = DEFAULT_N_PROBES
-
-
-@dataclass(frozen=True)
-class SampledPoints(FixSetDescriptor):
-    points: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "points", tuple(vector(p) for p in self.points))
-
-
-def probe_points(fix_set: FixSetDescriptor, seed: int) -> List[np.ndarray]:
-    """Deterministic probe points asserted to lie in Fix(T)."""
-    if isinstance(fix_set, Singleton):
-        return [fix_set.point]
-    if isinstance(fix_set, SampledPoints):
-        return list(fix_set.points)
-    if isinstance(fix_set, ConvexSubset):
-        rng = np.random.default_rng(seed)
-        return [sample(fix_set.subset, rng) for _ in range(fix_set.n_probes)]
-    raise UsageError(f"unknown fix-set descriptor {fix_set!r}")
-
-
-@dataclass(frozen=True)
 class ProblemSpec:
+    """A hierarchical fixed point problem.
+
+    ``fix_points``, when given, is an ``(m, C.dim)`` array of m >= 1 finite
+    points asserted to lie in Fix(T); ``validate_problem`` checks their
+    residuals and ``solve`` probes the variational inequality at them.
+    """
+
     C: ConvexSet
     T: MappingHandle
     S: MappingHandle
@@ -116,15 +71,19 @@ class ProblemSpec:
     schedule: Schedule
     mode: PowerMode
     x1: np.ndarray
-    fix_set: Optional[FixSetDescriptor] = None
+    fix_points: Optional[np.ndarray] = None
     reference: Optional[np.ndarray] = None
     seed: int = 0
-    power_budget: int = DEFAULT_POWER_BUDGET
 
     def __post_init__(self):
         object.__setattr__(self, "x1", vector(self.x1))
         if self.reference is not None:
             object.__setattr__(self, "reference", vector(self.reference))
+        if self.fix_points is not None:
+            rows = [self.C._checked(row) for row in self.fix_points]
+            if not rows:
+                raise UsageError("fix_points must hold at least one point")
+            object.__setattr__(self, "fix_points", np.vstack(rows))
 
 
 @dataclass(frozen=True)
@@ -205,8 +164,8 @@ def validate_problem(p: ProblemSpec) -> List[str]:
     else:
         violations.extend(f"schedule: {msg}" for msg in report.failures())
 
-    if p.fix_set is not None:
-        for point in probe_points(p.fix_set, p.seed):
+    if p.fix_points is not None:
+        for point in p.fix_points:
             residual = norm(np.asarray(p.T.evaluate(point)) - point)
             if residual > FIX_POINT_TOL:
                 violations.append(
@@ -220,16 +179,15 @@ def validate_problem(p: ProblemSpec) -> List[str]:
 class _PowerBudget:
     """Counts raw T evaluations spent by FullPower without a closed form."""
 
-    def __init__(self, budget: int):
-        self.budget = budget
+    def __init__(self):
         self.spent = 0
 
     def charge(self, n: int):
         self.spent += n
-        if self.spent > self.budget:
+        if self.spent > POWER_BUDGET:
             raise NumericError(
                 f"power budget exhausted: {self.spent} raw evaluations exceed "
-                f"{self.budget}; supply a closed-form power or lower max_iters"
+                f"{POWER_BUDGET}; supply a closed-form power or lower max_iters"
             )
 
 
@@ -240,8 +198,6 @@ def _apply_mode(p: ProblemSpec, n: int, y: np.ndarray, budget: _PowerBudget):
         return _power(p.T, n, y)
     if isinstance(p.mode, Single):
         return np.asarray(p.T.evaluate(y), dtype=float)
-    if isinstance(p.mode, MappingSequence):
-        return np.asarray(p.mode.mapping_for(n).evaluate(y), dtype=float)
     raise UsageError(f"unknown power mode {p.mode!r}")
 
 
@@ -253,9 +209,8 @@ def step(p: ProblemSpec, n: int, x: np.ndarray):
     """
     if n < 1:
         raise UsageError("iteration index must be a positive integer")
-    budget = _PowerBudget(p.power_budget)
     alpha, beta = float(p.schedule.alpha(n)), float(p.schedule.beta(n))
-    return _step(p, n, p.C._checked(x), alpha, beta, budget)
+    return _step(p, n, p.C._checked(x), alpha, beta, _PowerBudget())
 
 
 def _step(p, n, x, alpha, beta, budget) -> np.ndarray:
@@ -280,20 +235,18 @@ def _step(p, n, x, alpha, beta, budget) -> np.ndarray:
     return p.C._project(t)
 
 
-def vi_residual(x, p: ProblemSpec, probes: Optional[List[np.ndarray]] = None) -> float:
-    """max(0, max_y <(rho*V - mu*F) x, y - x>) over fixed-point probes."""
-    if p.fix_set is None:
-        raise UsageError("vi_residual needs a fix_set on the problem")
-    if probes is None:
-        probes = probe_points(p.fix_set, p.seed)
-    return _vi_residual(p.C._checked(x), p, np.vstack(probes))
+def vi_residual(x, p: ProblemSpec) -> float:
+    """max(0, max_y <(rho*V - mu*F) x, y - x>) over the rows y of p.fix_points."""
+    if p.fix_points is None:
+        raise UsageError("vi_residual needs fix_points on the problem")
+    return _vi_residual(p.C._checked(x), p)
 
 
-def _vi_residual(x: np.ndarray, p: ProblemSpec, probe_mat: np.ndarray) -> float:
+def _vi_residual(x: np.ndarray, p: ProblemSpec) -> float:
     w = p.rho * np.asarray(p.V.evaluate(x), dtype=float) - p.mu * np.asarray(
         p.F.evaluate(x), dtype=float
     )
-    worst = float((probe_mat @ w).max()) - float(x.dot(w))
+    worst = float((p.fix_points @ w).max()) - float(x.dot(w))
     return max(0.0, worst)
 
 
@@ -313,10 +266,8 @@ def solve(
         if violations:
             raise ProblemDefinitionError("; ".join(violations))
 
-    probes = (
-        np.vstack(probe_points(p.fix_set, p.seed)) if p.fix_set is not None else None
-    )
-    budget = _PowerBudget(p.power_budget)
+    probed = p.fix_points is not None
+    budget = _PowerBudget()
     x = p.x1
     trace: List[TraceRow] = []
     reason = "budget"
@@ -327,7 +278,7 @@ def solve(
         x_next = _step(p, n, x, alpha, beta, budget)
         step_norm = _norm(x_next - x)
         fix_res = _norm(x_next - np.asarray(p.T.evaluate(x_next), dtype=float))
-        vi = _vi_residual(x_next, p, probes) if probes is not None else None
+        vi = _vi_residual(x_next, p) if probed else None
         dist = _norm(x_next - p.reference) if p.reference is not None else None
         elapsed = time.perf_counter_ns() - t0 if collect_timing else None
         trace.append(TraceRow(n, alpha, beta, step_norm, fix_res, vi, dist, elapsed))
@@ -394,7 +345,7 @@ def reduce_variant(p: ProblemSpec, variant: str) -> ProblemSpec:
     wang_xu:    apply T once per iteration.
     ceng:       wang_xu with S replaced by the identity.
     marino_xu:  ceng, additionally requiring C to be the whole space.
-    sahu:       the constant mapping-sequence form T_n = T.
+    sahu:       the mapping sequence T_n = T, which is wang_xu's iteration.
     """
     if variant == "full_power":
         return dataclasses.replace(p, mode=FullPower())
@@ -407,5 +358,5 @@ def reduce_variant(p: ProblemSpec, variant: str) -> ProblemSpec:
             raise UsageError("marino_xu requires C to be the whole space")
         return dataclasses.replace(p, mode=Single(), S=identity_map(p.C))
     if variant == "sahu":
-        return dataclasses.replace(p, mode=MappingSequence.constant(p.T))
+        return dataclasses.replace(p, mode=Single())
     raise UsageError(f"unknown variant {variant!r}; choose from {VARIANTS}")

@@ -11,10 +11,11 @@ from hfp.geometry import (
     Halfspace,
     Intersection,
     WholeSpace,
+    sample,
 )
 from hfp.fixtures import identity_map, proj_affine, zero_map
 from hfp.schedules import power_schedule
-from hfp.solver import ConvexSubset, FullPower, ProblemSpec, StopRule
+from hfp.solver import FullPower, ProblemSpec, StopRule
 
 SET_KINDS = ("wholespace", "ball", "box", "halfspace", "hyperplane", "intersection")
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -58,9 +59,11 @@ def budget_stop(n):
 
 @pytest.fixture
 def minnorm_problem():
-    """C = Ball(0,10), T = projection onto x1+x2=2, V = 0, F = I."""
+    """C = Ball(0,10), T = projection onto x1+x2=2, V = 0, F = I; 32 seeded
+    probes on that line, as a ``convex_subset`` fix set with seed 0 draws them."""
     C = Ball(np.zeros(2), 10.0)
     line = AffineHyperplane(np.array([1.0, 1.0]), 2.0)
+    rng = np.random.default_rng(0)
     return ProblemSpec(
         C=C,
         T=proj_affine(C, np.array([1.0, 1.0]), 2.0),
@@ -72,6 +75,6 @@ def minnorm_problem():
         schedule=power_schedule(1.0, 0.5, 1.0, 0.9),
         mode=FullPower(),
         x1=np.array([3.0, 4.0]),
-        fix_set=ConvexSubset(line),
+        fix_points=[sample(line, rng) for _ in range(32)],
         reference=np.array([1.0, 1.0]),
     )

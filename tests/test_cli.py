@@ -479,22 +479,33 @@ def test_unconverged_projection_on_tangent_balls(tmp_path, command, v_section, s
     assert text in {"out": out, "err": err}[stream]
 
 
-def _catalog_keys(catalog):
-    """Every key a problem-file catalog declares, nested catalogs included."""
-    keys = set()
-    for fields, _ in catalog.values():
-        for key, read, *_ in fields:
-            keys.add(key)
-            if isinstance(read, dict):
-                keys |= _catalog_keys(read)
-    return keys
+def _owners(fields, chain=()):
+    """Each catalog entry key of ``fields``, mapped to the selections that
+    declare it: one tuple of (selector, entry, entry fields) per owning entry."""
+    owners = {}
+    for selector, read, *_ in fields:
+        if isinstance(read, dict):
+            for entry, (entry_fields, _) in read.items():
+                here = (*chain, (selector, entry, entry_fields))
+                for key, *_ in entry_fields:
+                    owners.setdefault(key, []).append(here)
+                for key, chains in _owners(entry_fields, here).items():
+                    owners.setdefault(key, []).extend(chains)
+    return owners
+
+
+OWNERS = {
+    f"{section}.{key}": chains
+    for section, fields in problemfile._SECTIONS.items()
+    for key, chains in _owners(fields).items()
+}
 
 
 SHIPPED = ("minnorm", "sahu_step", "rotation_fullpower")
+# every catalog entry's keys, each section's selector and the optional
+# [problem] keys
 TABLE_KEYS = sorted(
-    [f"set.{key}" for key in _catalog_keys(problemfile._SET_KINDS) | {"kind"}]
-    + [f"{m}.{key}" for m in "TSVF" for key in _catalog_keys(problemfile._FIXTURES) | {"fixture"}]
-    + [f"fix_set.{key}" for key in _catalog_keys(problemfile._FIX_SETS) | {"kind"}]
+    [*OWNERS, "set.kind", *(f"{m}.fixture" for m in "TSVF"), "fix_set.kind"]
     + [f"problem.{key}" for key in ("seed", "reference")]
 )
 SHIPPED_RAW = {
@@ -555,7 +566,20 @@ def fuzz_argv(draw):
     dimension = int(SHIPPED_RAW[name]["problem"]["dimension"])
     argv = [draw(st.sampled_from(["validate", "run"])), str(PROBLEMS_DIR / f"{name}.cfg")]
     for _ in range(draw(st.integers(1, 2))):
-        key = draw(st.one_of(st.sampled_from(FILE_KEYS[name]), st.sampled_from(TABLE_KEYS)))
+        if draw(st.booleans()):
+            key = draw(st.sampled_from(FILE_KEYS[name]))
+        else:
+            # a table key comes with an entry that owns it, selected and given
+            # valid values for its other keys; keys the file's own entry sets
+            # may still be unknown there
+            key = draw(st.sampled_from(TABLE_KEYS))
+            section, own = key.split(".")
+            for selector, entry, fields in draw(st.sampled_from(OWNERS.get(key, [()]))):
+                argv += ["--set", f"{section}.{selector}={entry}"]
+                for other, read, *default in fields:
+                    if not default and not isinstance(read, dict) and other != own:
+                        value = draw(reader_values(read, dimension))
+                        argv += ["--set", f"{section}.{other}={value}"]
         read = READERS[key]
         alphabet = CATALOG_NAMES if isinstance(read, dict) else FUZZ_VALUES
         # half valid for the key's own reader, half from the alphabet

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hfp import geometry
 from hfp.geometry import (
     AffineHyperplane,
     Ball,
@@ -160,11 +161,11 @@ class TestDykstra:
         for member in inter.members:
             assert member.contains(p, tol=1e-6)
 
-    def test_cycle_cap(self):
+    def test_cycle_cap(self, monkeypatch):
+        monkeypatch.setattr(geometry, "DYKSTRA_TOL", 1e-30)
+        monkeypatch.setattr(geometry, "DYKSTRA_MAX_CYCLES", 3)
         inter = Intersection(
-            (Ball(np.zeros(2), 1.0), Halfspace(np.array([1.0, 0.0]), 0.5)),
-            tol=1e-30,
-            max_cycles=3,
+            (Ball(np.zeros(2), 1.0), Halfspace(np.array([1.0, 0.0]), 0.5))
         )
         with pytest.raises(DykstraError):
             project(inter, (5, 5))

@@ -30,7 +30,6 @@ from hfp.schedules import power_schedule
 from hfp.solver import (
     FullPower,
     ProblemSpec,
-    Singleton,
     TraceRow,
     solve,
     step,
@@ -106,7 +105,7 @@ def _spec(C, T, x1, fix_point, reference=None):
         schedule=power_schedule(1.0, 0.7, 1.0, 1.0),
         mode=FullPower(),
         x1=np.asarray(x1, dtype=float),
-        fix_set=Singleton(np.asarray(fix_point, dtype=float)),
+        fix_points=[fix_point],
         reference=reference,
     )
 
@@ -143,7 +142,7 @@ def _replay(p, report):
             float(p.schedule.beta(n)),
             norm(x_next - x),
             norm(x_next - p.T.evaluate(x_next)),
-            vi_residual(x_next, p) if p.fix_set is not None else None,
+            vi_residual(x_next, p) if p.fix_points is not None else None,
             norm(x_next - p.reference) if p.reference is not None else None,
             None,
         )

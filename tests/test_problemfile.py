@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from hfp import fixtures, problemfile
-from hfp.geometry import Ball, Intersection, WholeSpace
+from hfp.geometry import AffineHyperplane, Ball, Intersection, WholeSpace, sample
 from hfp.problemfile import (
+    DEFAULT_N_PROBES,
     ProblemFileParseError,
     ProblemFileSemanticError,
     apply_overrides,
@@ -16,15 +17,7 @@ from hfp.problemfile import (
     parse_problem_text,
     serialize,
 )
-from hfp.solver import (
-    DEFAULT_N_PROBES,
-    ConvexSubset,
-    FullPower,
-    ProblemSpec,
-    Single,
-    Singleton,
-    StopRule,
-)
+from hfp.solver import FullPower, ProblemSpec, Single, StopRule
 from conftest import child_env
 
 PROBLEMS_DIR = Path(__file__).resolve().parent.parent / "problems"
@@ -207,7 +200,7 @@ class TestBuild:
         singleton = build_problem(
             parse_problem_text(with_lines("[fix_set]", "kind = singleton", "point = 1 1"))
         )
-        assert isinstance(singleton.spec.fix_set, Singleton)
+        assert np.array_equal(singleton.spec.fix_points, [[1.0, 1.0]])
 
         subset = build_problem(
             parse_problem_text(
@@ -221,15 +214,16 @@ class TestBuild:
                 )
             )
         )
-        assert isinstance(subset.spec.fix_set, ConvexSubset)
-        assert subset.spec.fix_set.n_probes == 8
+        assert subset.spec.fix_points.shape == (8, 2)
+        line = AffineHyperplane(np.array([1.0, 1.0]), 2.0)
+        assert all(line.contains(point) for point in subset.spec.fix_points)
 
         sampled = build_problem(
             parse_problem_text(
                 with_lines("[fix_set]", "kind = sampled", "points = 1 1; 2 0")
             )
         )
-        assert len(sampled.spec.fix_set.points) == 2
+        assert np.array_equal(sampled.spec.fix_points, [[1.0, 1.0], [2.0, 0.0]])
 
     def test_stop_tolerances_accept_none(self):
         built = build_problem(
@@ -327,7 +321,10 @@ class TestBuild:
         )
         spec = build_problem(parse_problem_text(text)).spec
         assert spec.C.members[1] == WholeSpace(2)
-        assert spec.fix_set.subset == WholeSpace(2)
+        # the problem seed (0) draws the probes, in the order sample gives them
+        rng = np.random.default_rng(0)
+        expected = [sample(WholeSpace(2), rng) for _ in range(DEFAULT_N_PROBES)]
+        assert np.array_equal(spec.fix_points, expected)
 
     def test_fixture_factory_looked_up_when_built(self, monkeypatch):
         # the traced benchmark wraps the factories by patching hfp.fixtures
@@ -372,7 +369,7 @@ def test_defaults_come_from_their_owners():
     built = build_problem(parse_problem_text(text))
     assert built.stop == StopRule() == StopRule(100000, 1e-10, 1e-8, 1e-8)
     assert built.spec.seed == ProblemSpec.seed == 0
-    assert built.spec.fix_set.n_probes == DEFAULT_N_PROBES == 32
+    assert built.spec.fix_points.shape == (DEFAULT_N_PROBES, 2) == (32, 2)
     assert built.spec.reference is None and built.trace_path is None
 
 

@@ -27,17 +27,13 @@ from hfp.geometry import (
 )
 from hfp.operators import MappingHandle
 from hfp.schedules import power_schedule
+from hfp import solver
 from hfp.solver import (
-    ConvexSubset,
     FullPower,
-    MappingSequence,
     ProblemSpec,
-    SampledPoints,
     Single,
-    Singleton,
     StopRule,
     check_power_regularity,
-    probe_points,
     reduce_variant,
     solve,
     step,
@@ -93,7 +89,7 @@ class TestValidateProblem:
         assert any("schedule" in v for v in validate_problem(spec))
 
     def test_bogus_fixed_point(self):
-        spec = make_spec(fix_set=Singleton(np.array([5.0, 5.0])))
+        spec = make_spec(fix_points=[[5.0, 5.0]])
         assert any("residual" in v for v in validate_problem(spec))
 
     def test_missing_f_metadata(self):
@@ -176,7 +172,7 @@ class TestSolve:
         spec = make_spec(
             T=averaged_rotation(C, 0.5, math.pi / 4),
             x1=np.array([4.0, 1.0]),
-            fix_set=Singleton(np.zeros(2)),
+            fix_points=[np.zeros(2)],
         )
         report = solve(spec, budget_stop(10000))
         assert norm(report.final_x) <= 1e-2
@@ -193,7 +189,7 @@ class TestSolve:
             schedule=power_schedule(1.0, 0.7, 1.0, 1.0),
             mode=FullPower(),
             x1=np.array([0.8]),
-            fix_set=Singleton(np.array([0.5])),
+            fix_points=[[0.5]],
         )
         report = solve(spec, budget_stop(20000))
         assert abs(report.final_x[0] - 0.5) <= 1e-3
@@ -227,8 +223,9 @@ class TestSolve:
         assert report.stop_reason == "fix"
         assert report.trace[-1].fix_residual <= 1e-2
 
-    def test_power_budget_exhaustion(self):
-        spec = make_spec(power_budget=100)
+    def test_power_budget_exhaustion(self, monkeypatch):
+        monkeypatch.setattr(solver, "POWER_BUDGET", 100)
+        spec = make_spec()
         bare_T = dataclasses.replace(
             spec.T, meta=dataclasses.replace(spec.T.meta, closed_form_power=None)
         )
@@ -247,7 +244,7 @@ class TestSolve:
             V=contraction(C, 10.0),
             rho=0.01,
             mode=Single(),
-            fix_set=None,
+            fix_points=None,
             schedule=power_schedule(0.5, 0.5, 1.0, 0.9),
             x1=np.array([1e308, 1e308]),
         )
@@ -265,7 +262,7 @@ class TestSolve:
 
 class TestViResidual:
     def test_singleton_at_solution(self):
-        spec = make_spec(fix_set=Singleton(np.array([1.0, 1.0])))
+        spec = make_spec(fix_points=[[1.0, 1.0]])
         # probing only the solution point itself gives zero by construction
         assert vi_residual(np.array([1.0, 1.0]), spec) == 0.0
 
@@ -281,13 +278,29 @@ class TestViResidual:
             vi_residual(np.array([1.0, 1.0]), spec)
 
     def test_sampled_points_probes(self):
-        fix = SampledPoints((np.array([1.0, 1.0]), np.array([2.0, 0.0])))
-        assert len(probe_points(fix, seed=0)) == 2
+        spec = make_spec(fix_points=(np.array([1.0, 1.0]), np.array([2.0, 0.0])))
+        assert np.array_equal(spec.fix_points, [[1.0, 1.0], [2.0, 0.0]])
+        # w = -x: at (1, 1) both probes give <w, y - x> = 0; at (0, 1), (2, 0) gives 1
+        assert vi_residual(np.array([1.0, 1.0]), spec) == 0.0
+        assert vi_residual(np.array([0.0, 1.0]), spec) == 1.0
 
     def test_convex_subset_probes_on_set(self):
         line = AffineHyperplane(np.array([1.0, 1.0]), 2.0)
-        for p in probe_points(ConvexSubset(line, n_probes=16), seed=3):
+        rng = np.random.default_rng(3)
+        spec = make_spec(fix_points=[sample(line, rng) for _ in range(16)])
+        assert spec.fix_points.shape == (16, 2)
+        for p in spec.fix_points:
             assert line.contains(p)
+        assert vi_residual(np.array([1.0, 1.0]), spec) <= 1e-9
+
+    @pytest.mark.parametrize(
+        "points", [[[1.0, 1.0, 0.0]], [[1.0, 1.0], [1.0]], [[np.nan, 1.0]], [], np.empty((0, 2))]
+    )
+    def test_bad_fix_points_are_rejected_when_built(self, points):
+        # a point of the wrong dimension used to fail later, as a numpy
+        # ValueError in validate_problem or in solve's matmul
+        with pytest.raises(UsageError):
+            make_spec(fix_points=points)
 
 
 class TestPowerRegularity:
@@ -407,13 +420,6 @@ class TestReduceVariant:
         a = solve(reduce_variant(base, "sahu"), budget_stop(100))
         b = solve(reduce_variant(base, "wang_xu"), budget_stop(100))
         assert a.trace == b.trace
-
-    def test_mapping_sequence_mode(self):
-        C = Ball(np.zeros(2), 10.0)
-        T = averaged_rotation(C, 0.5, math.pi / 4)
-        mode = MappingSequence.constant(T)
-        assert mode.mapping_for(1) is T
-        assert mode.mapping_for(99) is T
 
     def test_reduce_is_metadata_only(self):
         spec = make_spec()
