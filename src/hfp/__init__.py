@@ -44,7 +44,6 @@ from .operators import (
     power,
 )
 from .schedules import (
-    PowerFamily,
     Schedule,
     ScheduleReport,
     power_schedule,

@@ -25,7 +25,7 @@ from .problemfile import (
     build_problem,
     parse_problem_file,
 )
-from .schedules import power_schedule, validate_schedule
+from .schedules import validate_schedule
 from .solver import (
     FullPower,
     ProblemSpec,
@@ -44,7 +44,6 @@ EXIT_BUDGET = 3
 EXIT_NUMERIC = 4
 
 TRACE_HEADER = ",".join(TraceRow._fields)  # a trace line is one TraceRow
-FLUSH_INTERVAL = 1000
 CERTIFIER_SAMPLES = 200  # pairs per spot check of a declared constant
 
 
@@ -59,11 +58,7 @@ def _fmt(value) -> str:
 def write_trace(path: str, report: SolveReport):
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(TRACE_HEADER + "\n")
-        for i, row in enumerate(report.trace, start=1):
-            handle.write(",".join(map(_fmt, row)) + "\n")
-            if i % FLUSH_INTERVAL == 0:
-                handle.flush()
-        handle.flush()
+        handle.writelines(",".join(map(_fmt, row)) + "\n" for row in report.trace)
 
 
 def _load(args, *extra: str) -> BuiltProblem:
@@ -225,7 +220,6 @@ def cmd_sweep(args) -> int:
     else:
         grid = sorted((p, p + args.q_offset) for p in args.p_values)
 
-    family = built.spec.schedule.family
     nearly = built.spec.T.meta.nearly_seq
 
     lines = ["p,q,status,iterations_to_tol,final_residual"]
@@ -235,7 +229,7 @@ def cmd_sweep(args) -> int:
     violations = None
     for p, q in grid:
         try:
-            schedule = power_schedule(family.alpha0, p, family.beta0, q)
+            schedule = dataclasses.replace(built.spec.schedule, p=p, q=q)
             report = validate_schedule(schedule, nearly)
             failures = report.failures()
         except UsageError as exc:

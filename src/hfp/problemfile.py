@@ -29,7 +29,7 @@ from .geometry import (
     WholeSpace,
     sample,
 )
-from .schedules import power_schedule
+from .schedules import Schedule
 from .solver import FullPower, ProblemSpec, StopRule, VARIANTS, reduce_variant
 
 RawConfig = Dict[str, Dict[str, str]]
@@ -175,7 +175,7 @@ _SECTIONS = {
     ),
     "set": (("kind", _SET_KINDS),),
     **{mapping: (("fixture", _FIXTURES),) for mapping in "TSVF"},
-    # power_schedule's argument order
+    # Schedule's field order
     "schedule": (("alpha0", _REAL), ("p", _REAL), ("beta0", _REAL), ("q", _REAL)),
     "fix_set": (("kind", _FIX_SETS),),
     "stop": (
@@ -353,7 +353,7 @@ def build_problem(raw: RawConfig) -> BuiltProblem:
     try:
         C = _build_set(raw, "set", space)
         T, S, V, F = (values(m, C)[0] for m in "TSVF")
-        schedule = power_schedule(*values("schedule"))
+        schedule = Schedule(*values("schedule"))
         _check_dim("x1", x1.size, dimension)
         if reference is not None:
             _check_dim("reference", reference.size, dimension)

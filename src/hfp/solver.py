@@ -28,7 +28,6 @@ from .geometry import (
     WholeSpace,
     _norm,
     norm,
-    vector,
 )
 from .fixtures import identity_map
 from .operators import MappingHandle, _power, _powers, nu_constant
@@ -56,6 +55,7 @@ class Single(PowerMode):
 class ProblemSpec:
     """A hierarchical fixed point problem.
 
+    ``x1`` and ``reference`` are finite points of dimension ``C.dim``.
     ``fix_points``, when given, is an ``(m, C.dim)`` array of m >= 1 finite
     points asserted to lie in Fix(T); ``validate_problem`` checks their
     residuals and ``solve`` probes the variational inequality at them.
@@ -76,9 +76,9 @@ class ProblemSpec:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "x1", vector(self.x1))
+        object.__setattr__(self, "x1", self.C._checked(self.x1))
         if self.reference is not None:
-            object.__setattr__(self, "reference", vector(self.reference))
+            object.__setattr__(self, "reference", self.C._checked(self.reference))
         if self.fix_points is not None:
             rows = [self.C._checked(row) for row in self.fix_points]
             if not rows:
@@ -209,7 +209,7 @@ def step(p: ProblemSpec, n: int, x: np.ndarray):
     """
     if n < 1:
         raise UsageError("iteration index must be a positive integer")
-    alpha, beta = float(p.schedule.alpha(n)), float(p.schedule.beta(n))
+    alpha, beta = p.schedule.alpha(n), p.schedule.beta(n)
     return _step(p, n, p.C._checked(x), alpha, beta, _PowerBudget())
 
 
@@ -274,7 +274,7 @@ def solve(
     n = 0
     for n in range(1, stop.max_iters + 1):
         t0 = time.perf_counter_ns() if collect_timing else None
-        alpha, beta = float(p.schedule.alpha(n)), float(p.schedule.beta(n))
+        alpha, beta = p.schedule.alpha(n), p.schedule.beta(n)
         x_next = _step(p, n, x, alpha, beta, budget)
         step_norm = _norm(x_next - x)
         fix_res = _norm(x_next - np.asarray(p.T.evaluate(x_next), dtype=float))
@@ -320,13 +320,15 @@ def check_power_regularity(
         raise UsageError("power regularity needs a self-mapping of the domain")
     if horizon < 2:
         raise UsageError("the regularity horizon must be at least 2")
+    if len(probes) == 0:
+        raise UsageError("power regularity needs at least one probe point")
     ns = _trend_probes(horizon)
     report = RegularityReport(horizon=horizon)
     for x in probes:
         x = T.domain._checked(x)
         iterates = _powers(T, sorted({m for n in ns for m in (n - 1, n)}), x)
         diffs = [_norm(iterates[n] - iterates[n - 1]) for n in ns]
-        ratios = [d / float(s.alpha(n)) for d, n in zip(diffs, ns)]
+        ratios = [d / s.alpha(n) for d, n in zip(diffs, ns)]
         ok = _trend_ok(diffs) and _trend_ok(ratios)
         report.per_probe.append(
             {"probe": x.tolist(), "diffs": diffs, "ratios": ratios, "passed": ok}

@@ -31,7 +31,7 @@ from hfp.operators import (
     certify_yamada_contraction,
 )
 from hfp.problemfile import build_problem, parse_problem_file
-from hfp.schedules import PowerFamily, power_schedule, scalar_recursion, validate_schedule
+from hfp.schedules import Schedule, power_schedule, scalar_recursion, validate_schedule
 from hfp.solver import (
     check_power_regularity,
     reduce_variant,
@@ -117,7 +117,7 @@ def test_03_scalar_recursion():
     worst = 0.0
     for _ in range(50):
         p = rng.uniform(0.1, 1.0)
-        fam = PowerFamily(
+        fam = Schedule(
             rng.uniform(0.5, 1.0), p, rng.uniform(0.0, 1.0), p + rng.uniform(0.4, 1.0)
         )
         n = 10**6

@@ -424,6 +424,17 @@ class TestSweep:
         assert code == cli.EXIT_OK
         assert len(out.read_text().splitlines()) == 3
 
+    def test_nan_exponent_row(self, minnorm, tmp_path):
+        # a NaN exponent used to reach the validator, which rejected the row
+        # with "alpha(10000) = nan is outside (0, 1]"
+        out = tmp_path / "s.csv"
+        argv = ["sweep", minnorm, "--p-values", "nan", "0.5", "--max-iters", "100"]
+        code = cli.main([*argv, "--out", str(out), "--quiet"])
+        assert code == cli.EXIT_OK
+        lines = out.read_text().splitlines()
+        assert "nan,nan,rejected: decay exponents must be positive,," in lines
+        assert len(lines) == 3
+
 
 @pytest.mark.parametrize(
     "argv, code, stream, text",

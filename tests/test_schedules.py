@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +9,6 @@ from hypothesis import strategies as st
 from hfp.geometry import UsageError
 from hfp.operators import NearnessSequence
 from hfp.schedules import (
-    PowerFamily,
     Schedule,
     power_schedule,
     scalar_recursion,
@@ -24,18 +24,24 @@ class TestPowerFamily:
             assert s.beta(n) == pytest.approx(0.6 * n**-0.9, abs=1e-12)
 
     def test_arrays_match_scalars(self):
-        fam = PowerFamily(1.0, 0.5, 1.0, 0.9)
+        fam = Schedule(1.0, 0.5, 1.0, 0.9)
         arr = fam.alpha_array(100)
         assert arr[0] == fam.alpha(1)
         assert arr[99] == fam.alpha(100)
 
     def test_bad_parameters(self):
         with pytest.raises(UsageError):
-            PowerFamily(0.0, 0.5, 1.0, 0.9)
+            Schedule(0.0, 0.5, 1.0, 0.9)
         with pytest.raises(UsageError):
-            PowerFamily(1.0, -0.5, 1.0, 0.9)
+            Schedule(1.0, -0.5, 1.0, 0.9)
         with pytest.raises(UsageError):
-            PowerFamily(1.0, 0.5, 1.5, 0.9)
+            Schedule(1.0, 0.5, 1.5, 0.9)
+
+    @pytest.mark.parametrize("p, q", [(math.nan, 0.9), (0.5, math.nan)])
+    def test_nan_exponent_rejected(self, p, q):
+        # a NaN exponent used to pass the "<= 0" test and reach the validator
+        with pytest.raises(UsageError, match="decay exponents must be positive"):
+            Schedule(1.0, p, 1.0, q)
 
 
 class TestValidateSchedule:
@@ -75,24 +81,11 @@ class TestValidateSchedule:
         _, ok = report.numeric_checks["a_over_alpha"]
         assert ok
 
-    def test_no_family_is_unknown(self):
-        s = Schedule(alpha=lambda n: n**-0.5, beta=lambda n: n**-0.9)
-        report = validate_schedule(s)
-        assert report.structural_divergence == "unknown"
-
     def test_alpha_zero_is_usage_error(self):
-        s = Schedule(alpha=lambda n: 0.0 if n == 10**4 else n**-0.5, beta=lambda n: 0.0)
-        with pytest.raises(UsageError):
+        s = power_schedule(1.0, 1000.0, 1.0, 0.9)
+        assert s.alpha(10**4) == 0.0  # underflow
+        with pytest.raises(UsageError, match="alpha\\(10000\\) = 0"):
             validate_schedule(s)
-
-    def test_small_horizon_rejected(self):
-        with pytest.raises(UsageError):
-            validate_schedule(power_schedule(1.0, 0.5, 1.0, 0.9), horizon=100)
-
-    def test_beta_above_alpha_warns(self):
-        s = Schedule(alpha=lambda n: n**-0.9, beta=lambda n: min(1.0, 5 * n**-0.9 * n**-0.2))
-        report = validate_schedule(s, horizon=10**4)
-        assert report.warnings
 
 
 class TestScalarRecursion:
@@ -116,7 +109,7 @@ class TestScalarRecursion:
         assert abs(final - 0.3) <= 1e-4
 
     def test_array_inputs(self):
-        fam = PowerFamily(1.0, 0.5, 0.0, 0.9)
+        fam = Schedule(1.0, 0.5, 0.0, 0.9)
         final, traj = scalar_recursion(2.0, fam.alpha_array(100), fam.beta_array(100), 100)
         ref, _ = scalar_recursion(2.0, fam.alpha, fam.beta, 100)
         assert final == ref
@@ -149,7 +142,7 @@ def test_random_power_schedules_drive_recursion_down():
     rng = np.random.default_rng(0)
     for _ in range(10):
         p = rng.uniform(0.1, 1.0)
-        fam = PowerFamily(rng.uniform(0.5, 1.0), p, rng.uniform(0.0, 1.0), p + rng.uniform(0.6, 1.0))
+        fam = Schedule(rng.uniform(0.5, 1.0), p, rng.uniform(0.0, 1.0), p + rng.uniform(0.6, 1.0))
         n = 10**4
         final, _ = scalar_recursion(rng.uniform(0, 10), fam.alpha_array(n), fam.beta_array(n), n)
         assert final < 0.2

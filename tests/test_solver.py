@@ -137,11 +137,8 @@ class TestStep:
     def test_zero_alpha_projects_power(self):
         from hfp.operators import power
 
-        spec = make_spec(
-            schedule=dataclasses.replace(
-                power_schedule(1.0, 0.5, 1.0, 0.9), alpha=lambda n: 0.0
-            )
-        )
+        spec = make_spec(schedule=power_schedule(1.0, 1000.0, 1.0, 0.9))
+        assert spec.schedule.alpha(3) == 0.0  # underflow
         x = np.array([2.0, -1.0])
         expected = spec.C.project(power(spec.T, 3, x))
         assert np.array_equal(step(spec, 3, x), expected)
@@ -302,6 +299,13 @@ class TestViResidual:
         with pytest.raises(UsageError):
             make_spec(fix_points=points)
 
+    @pytest.mark.parametrize("field", ["x1", "reference"])
+    def test_wrong_dimension_point_is_rejected_when_built(self, field):
+        # a 1-d reference used to be broadcast into dist_to_reference, and a
+        # 3-d x1 to fail later, in validate_problem or in solve's matmul
+        with pytest.raises(UsageError, match="point dimension"):
+            make_spec(**{field: [1.0] if field == "reference" else [1.0, 1.0, 0.0]})
+
 
 class TestPowerRegularity:
     def test_projection_passes(self):
@@ -371,6 +375,12 @@ class TestPowerRegularity:
         )
         with pytest.raises(NumericError, match="power step 5"):
             check_power_regularity(escape, power_schedule(1.0, 0.5, 1.0, 0.9), [np.zeros(1)], 100)
+
+    def test_no_probes_rejected(self):
+        # an empty probe list used to pass without checking anything
+        T = proj_affine(Ball(np.zeros(2), 10.0), np.array([1.0, 1.0]), 2.0)
+        with pytest.raises(UsageError, match="at least one probe"):
+            check_power_regularity(T, power_schedule(1.0, 0.5, 1.0, 0.9), [])
 
     def test_short_horizon_rejected(self):
         T = proj_affine(Ball(np.zeros(2), 10.0), np.array([1.0, 1.0]), 2.0)
