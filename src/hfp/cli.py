@@ -1,12 +1,13 @@
 """Benchmark CLI: validate, run, compare, and sweep problem files.
 
-Exit codes: 0 success, 1 semantic violation, 2 parse error, 3 iteration
-budget exhausted, 4 numeric failure.
+Exit codes: 0 success, 1 semantic violation, 2 parse error or unwritable
+output, 3 iteration budget exhausted, 4 numeric failure.
 """
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 from pathlib import Path
 from typing import List, Optional
@@ -80,10 +81,21 @@ def _trace_path(args, built: BuiltProblem) -> str:
     )
 
 
-def _violated(violations: List[str], label: str = "violation") -> bool:
-    """Print each violation under ``label``; whether there were any."""
+def _violated(spec: ProblemSpec, violations: List[str], label: str = "violation") -> bool:
+    """Print each violation of ``spec`` under ``label``; whether there were any.
+
+    A FullPower problem without violations then has the power regularity of
+    its T checked from x1, and a failure is a warning on stderr.
+    """
     for violation in violations:
         print(f"{label}: {violation}")
+    if not violations and isinstance(spec.mode, FullPower):
+        if not check_power_regularity(spec.T, spec.schedule, [spec.x1]).passed:
+            print(
+                "warning: power-regularity check failed for T; the convergence "
+                "guarantee does not apply",
+                file=sys.stderr,
+            )
     return bool(violations)
 
 
@@ -119,7 +131,7 @@ def cmd_validate(args) -> int:
     # samples some other domains may not converge
     except (UsageError, NumericError) as exc:
         violations.append(f"certifiers cannot run: {exc}")
-    if _violated(violations):
+    if _violated(built.spec, violations):
         return EXIT_SEMANTIC
     print("valid")
     return EXIT_OK
@@ -145,16 +157,8 @@ def _summary(report: SolveReport, trace_path: str, quiet: bool):
 def cmd_run(args) -> int:
     built = _load(args)
     spec, stop = built.spec, built.stop
-    if _violated(validate_problem(spec)):
+    if _violated(spec, validate_problem(spec)):
         return EXIT_SEMANTIC
-    if isinstance(spec.mode, FullPower):
-        regularity = check_power_regularity(spec.T, spec.schedule, [spec.x1])
-        if not regularity.passed:
-            print(
-                "warning: power-regularity check failed for T; the convergence "
-                "guarantee does not apply",
-                file=sys.stderr,
-            )
     report = solve(spec, stop, collect_timing=args.timing, check_valid=False)
     trace_path = _trace_path(args, built)
     write_trace(trace_path, report)
@@ -179,7 +183,7 @@ def cmd_compare(args) -> int:
 
     rows = []
     for variant, spec in specs.items():
-        if _violated(validate_problem(spec), f"violation ({variant})"):
+        if _violated(spec, validate_problem(spec), f"violation ({variant})"):
             return EXIT_SEMANTIC
         try:
             report = solve(spec, base.stop, check_valid=False)
@@ -216,9 +220,11 @@ def cmd_sweep(args) -> int:
     built = _load(args)
 
     if args.q_values:
-        grid = sorted((p, q) for p in args.p_values for q in args.q_values)
+        grid = [(p, q) for p in args.p_values for q in args.q_values]
     else:
-        grid = sorted((p, p + args.q_offset) for p in args.p_values)
+        grid = [(p, p + args.q_offset) for p in args.p_values]
+    # NaN compares false with everything, so it gets its own key to sort last
+    grid.sort(key=lambda pq: [(math.isnan(v), v) for v in pq])
 
     nearly = built.spec.T.meta.nearly_seq
 
@@ -334,6 +340,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    # a failed read of the problem file is already a parse error, so this is a write
+    except OSError as exc:
+        print(f"cannot write {exc.filename}: {exc}", file=sys.stderr)
+        return EXIT_PARSE
 
 
 def entry():

@@ -73,8 +73,8 @@ _VECTORS = (  # ``;``-separated; empty items are skipped
     "a list of vectors of finite reals",
 )
 _TOL = (  # a stop tolerance; ``none`` disables its rule
-    lambda text: None if text.lower() == "none" else float(text),
-    "a real number or 'none'",
+    lambda text: None if text.lower() == "none" else _real(text),
+    "a finite real number or 'none'",
 )
 _TEXT = (str, "text")
 
@@ -370,4 +370,7 @@ def build_problem(raw: RawConfig) -> BuiltProblem:
     max_iters, *tolerances = values("stop")
     if max_iters < 1:
         raise ProblemFileSemanticError(f"stop.max_iters = {max_iters} is below 1")
+    for (key, *_), tol in zip(_SECTIONS["stop"][1:], tolerances):
+        if tol is not None and tol < 0:
+            raise ProblemFileSemanticError(f"stop.{key} = {tol} is below 0")
     return BuiltProblem(spec, StopRule(max_iters, *tolerances), *values("output"))

@@ -15,7 +15,7 @@ from __future__ import annotations
 import dataclasses
 import time
 from dataclasses import dataclass, field
-from typing import List, NamedTuple, Optional
+from typing import List, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -37,17 +37,13 @@ FIX_POINT_TOL = 1e-6
 POWER_BUDGET = 10**8  # raw T evaluations one solve or step may spend
 
 
-class PowerMode:
-    """How the mapping T enters the iteration."""
-
-
 @dataclass(frozen=True)
-class FullPower(PowerMode):
+class FullPower:
     """Apply T^n at iteration n (the main scheme)."""
 
 
 @dataclass(frozen=True)
-class Single(PowerMode):
+class Single:
     """Apply T once per iteration (the nonexpansive-T reduction)."""
 
 
@@ -69,13 +65,15 @@ class ProblemSpec:
     rho: float
     mu: float
     schedule: Schedule
-    mode: PowerMode
+    mode: Union[FullPower, Single]
     x1: np.ndarray
     fix_points: Optional[np.ndarray] = None
     reference: Optional[np.ndarray] = None
     seed: int = 0
 
     def __post_init__(self):
+        if not isinstance(self.mode, (FullPower, Single)):
+            raise UsageError(f"unknown power mode {self.mode!r}")
         object.__setattr__(self, "x1", self.C._checked(self.x1))
         if self.reference is not None:
             object.__setattr__(self, "reference", self.C._checked(self.reference))
@@ -176,31 +174,6 @@ def validate_problem(p: ProblemSpec) -> List[str]:
     return violations
 
 
-class _PowerBudget:
-    """Counts raw T evaluations spent by FullPower without a closed form."""
-
-    def __init__(self):
-        self.spent = 0
-
-    def charge(self, n: int):
-        self.spent += n
-        if self.spent > POWER_BUDGET:
-            raise NumericError(
-                f"power budget exhausted: {self.spent} raw evaluations exceed "
-                f"{POWER_BUDGET}; supply a closed-form power or lower max_iters"
-            )
-
-
-def _apply_mode(p: ProblemSpec, n: int, y: np.ndarray, budget: _PowerBudget):
-    if isinstance(p.mode, FullPower):
-        if p.T.meta.closed_form_power is None:
-            budget.charge(n)
-        return _power(p.T, n, y)
-    if isinstance(p.mode, Single):
-        return np.asarray(p.T.evaluate(y), dtype=float)
-    raise UsageError(f"unknown power mode {p.mode!r}")
-
-
 def step(p: ProblemSpec, n: int, x: np.ndarray):
     """One iteration; returns x_{n+1}.
 
@@ -210,16 +183,28 @@ def step(p: ProblemSpec, n: int, x: np.ndarray):
     if n < 1:
         raise UsageError("iteration index must be a positive integer")
     alpha, beta = p.schedule.alpha(n), p.schedule.beta(n)
-    return _step(p, n, p.C._checked(x), alpha, beta, _PowerBudget())
+    return _step(p, n, p.C._checked(x), alpha, beta, n)
 
 
-def _step(p, n, x, alpha, beta, budget) -> np.ndarray:
-    """Kernel of :func:`step`; a non-finite point to project is a NumericError."""
+def _step(p, n, x, alpha, beta, raw_spent) -> np.ndarray:
+    """Kernel of :func:`step`; a non-finite point to project is a NumericError.
+
+    ``raw_spent`` is the number of raw T evaluations that FullPower without a
+    closed form has spent through iteration n, checked against POWER_BUDGET.
+    """
     if beta == 0.0:
         y = x
     else:
         y = beta * np.asarray(p.S.evaluate(x), dtype=float) + (1.0 - beta) * x
-    z = _apply_mode(p, n, y, budget)
+    if isinstance(p.mode, Single):
+        z = np.asarray(p.T.evaluate(y), dtype=float)
+    else:
+        if raw_spent > POWER_BUDGET and p.T.meta.closed_form_power is None:
+            raise NumericError(
+                f"power budget exhausted: {raw_spent} raw evaluations exceed "
+                f"{POWER_BUDGET}; supply a closed-form power or lower max_iters"
+            )
+        z = _power(p.T, n, y)
     if alpha == 0.0:
         t = z
     else:
@@ -267,7 +252,6 @@ def solve(
             raise ProblemDefinitionError("; ".join(violations))
 
     probed = p.fix_points is not None
-    budget = _PowerBudget()
     x = p.x1
     trace: List[TraceRow] = []
     reason = "budget"
@@ -275,7 +259,8 @@ def solve(
     for n in range(1, stop.max_iters + 1):
         t0 = time.perf_counter_ns() if collect_timing else None
         alpha, beta = p.schedule.alpha(n), p.schedule.beta(n)
-        x_next = _step(p, n, x, alpha, beta, budget)
+        # iterations 1..n of FullPower walk n*(n+1)/2 raw steps in all
+        x_next = _step(p, n, x, alpha, beta, n * (n + 1) // 2)
         step_norm = _norm(x_next - x)
         fix_res = _norm(x_next - np.asarray(p.T.evaluate(x_next), dtype=float))
         vi = _vi_residual(x_next, p) if probed else None
@@ -351,14 +336,10 @@ def reduce_variant(p: ProblemSpec, variant: str) -> ProblemSpec:
     """
     if variant == "full_power":
         return dataclasses.replace(p, mode=FullPower())
-    if variant == "wang_xu":
+    if variant in ("wang_xu", "sahu"):
         return dataclasses.replace(p, mode=Single())
-    if variant == "ceng":
+    if variant == "marino_xu" and not isinstance(p.C, WholeSpace):
+        raise UsageError("marino_xu requires C to be the whole space")
+    if variant in ("ceng", "marino_xu"):
         return dataclasses.replace(p, mode=Single(), S=identity_map(p.C))
-    if variant == "marino_xu":
-        if not isinstance(p.C, WholeSpace):
-            raise UsageError("marino_xu requires C to be the whole space")
-        return dataclasses.replace(p, mode=Single(), S=identity_map(p.C))
-    if variant == "sahu":
-        return dataclasses.replace(p, mode=Single())
     raise UsageError(f"unknown variant {variant!r}; choose from {VARIANTS}")

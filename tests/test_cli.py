@@ -120,6 +120,14 @@ class TestValidate:
         assert code == cli.EXIT_SEMANTIC
         assert "invalid problem" in capsys.readouterr().err
 
+    def test_power_regularity_warning(self, capsys):
+        # validate runs the same check as run, and stdout stays "valid"
+        code = cli.main(["validate", str(PROBLEMS_DIR / "rotation_fullpower.cfg")])
+        out, err = capsys.readouterr()
+        assert code == cli.EXIT_OK
+        assert out == "valid\n"
+        assert "warning: power-regularity check failed for T" in err
+
     def test_schedule_violation_reported(self, minnorm, capsys):
         # q = p makes beta_n/alpha_n constant, violating the ratio condition
         code = cli.main(["validate", minnorm, "--set", "schedule.q=0.5"])
@@ -176,6 +184,18 @@ class TestRun:
         )
         assert code == cli.EXIT_BUDGET
         assert "power-regularity" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_tolerance_is_a_parse_error(self, minnorm, capsys, value):
+        # a NaN tolerance used to turn its rule off, and inf stopped at once
+        code = cli.main(["run", minnorm, "--set", f"stop.tol_step={value}", "--quiet"])
+        assert code == cli.EXIT_PARSE
+        assert "is not a finite real number or 'none'" in capsys.readouterr().err
+
+    def test_negative_tolerance_is_invalid(self, minnorm, capsys):
+        code = cli.main(["run", minnorm, "--set", "stop.tol_fix=-1", "--quiet"])
+        assert code == cli.EXIT_SEMANTIC
+        assert "invalid problem: stop.tol_fix = -1.0 is below 0" in capsys.readouterr().err
 
     def test_semantic_violation_blocks_run(self, minnorm, capsys):
         code = cli.main(["run", minnorm, "--set", "problem.x1=20 0"])
@@ -242,6 +262,13 @@ class TestCompare:
         assert traces[0] == traces[1] == traces[2]
         out = capsys.readouterr().out
         assert "variant" in out and "wang_xu" in out
+
+    @pytest.mark.parametrize("variant, warned", [("full_power", True), ("wang_xu", False)])
+    def test_power_regularity_warning(self, tmp_path, capsys, variant, warned):
+        argv = ["compare", str(PROBLEMS_DIR / "rotation_fullpower.cfg"), variant, "--max-iters", "20"]
+        code = cli.main([*argv, "--trace-out", str(tmp_path / "r.csv"), "--quiet"])
+        assert code == cli.EXIT_OK
+        assert ("power-regularity" in capsys.readouterr().err) == warned
 
     def test_inapplicable_variant(self, minnorm, capsys):
         code = cli.main(["compare", minnorm, "marino_xu", "--max-iters", "10"])
@@ -435,6 +462,31 @@ class TestSweep:
         assert "nan,nan,rejected: decay exponents must be positive,," in lines
         assert len(lines) == 3
 
+    def test_nan_exponent_sorts_last(self, minnorm, tmp_path):
+        # sorted() on tuples left a NaN row where it was given
+        out = tmp_path / "s.csv"
+        argv = ["sweep", minnorm, "--p-values", "0.5", "nan", "0.3", "--max-iters", "50"]
+        assert cli.main([*argv, "--out", str(out), "--quiet"]) == cli.EXIT_OK
+        rows = out.read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["0.3", "0.5", "nan"]
+
+
+@pytest.mark.parametrize("command", ["run", "compare", "sweep"])
+@pytest.mark.parametrize("where", ["missing/out.csv", "d.csv"])
+def test_unwritable_output_path(minnorm, tmp_path, command, where):
+    """An output path in a missing directory, or naming a directory, is exit 2."""
+    # compare writes d.wang_xu.csv for --trace-out d.csv
+    for name in ("d.csv", "d.wang_xu.csv"):
+        (tmp_path / name).mkdir()
+    extra = {
+        "run": ["--trace-out", where],
+        "compare": ["wang_xu", "--trace-out", where],
+        "sweep": ["--p-values", "0.5", "--out", where],
+    }[command]
+    rc, _, err = hfp_bench(command, minnorm, *extra, "--max-iters", "5", cwd=tmp_path)
+    assert rc == cli.EXIT_PARSE
+    assert err.startswith("cannot write ")
+
 
 @pytest.mark.parametrize(
     "argv, code, stream, text",
@@ -564,7 +616,8 @@ def reader_values(read, dimension):
     vector = st.lists(real, min_size=dimension, max_size=dimension).map(" ".join)
     return {
         problemfile._REAL: real,
-        problemfile._TOL: real,
+        # a negative tolerance is a semantic error
+        problemfile._TOL: st.integers(0, 8).map(lambda i: repr(i / 4)),
         problemfile._INT: st.integers(1, 5).map(str),
         problemfile._VECTOR: vector,
         problemfile._VECTORS: st.lists(vector, min_size=1, max_size=3).map("; ".join),

@@ -80,6 +80,11 @@ class TestValidateProblem:
         spec = make_spec(rho=float("nan"))
         assert "rho must be nonnegative" in validate_problem(spec)
 
+    @pytest.mark.parametrize("mode", [None, "full_power", FullPower])
+    def test_unknown_mode_rejected_when_built(self, mode):
+        with pytest.raises(UsageError, match="unknown power mode"):
+            make_spec(mode=mode)
+
     def test_x1_outside(self):
         spec = make_spec(x1=np.array([20.0, 0.0]))
         assert any("x1" in v for v in validate_problem(spec))
@@ -227,8 +232,13 @@ class TestSolve:
             spec.T, meta=dataclasses.replace(spec.T.meta, closed_form_power=None)
         )
         spec = dataclasses.replace(spec, T=bare_T)
-        with pytest.raises(NumericError, match="power budget"):
+        # iterations 1..14 walk 1 + 2 + ... + 14 = 105 raw steps
+        with pytest.raises(NumericError, match="power budget exhausted: 105 raw evaluations exceed 100;"):
             solve(spec, budget_stop(50))
+        # one step at n walks n raw steps
+        step(spec, 100, spec.x1)
+        with pytest.raises(NumericError, match="power budget exhausted: 101 raw evaluations exceed 100;"):
+            step(spec, 101, spec.x1)
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
