@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import math
 import sys
 from pathlib import Path
@@ -56,10 +57,19 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
+def _write(path: str, lines):
+    """Write ``lines`` to ``path``; an OSError of the open, a write or the flush names it."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as handle:
+            handle.writelines(lines)
+    except OSError as exc:
+        exc.filename = path
+        raise
+
+
 def write_trace(path: str, report: SolveReport):
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(TRACE_HEADER + "\n")
-        handle.writelines(",".join(map(_fmt, row)) + "\n" for row in report.trace)
+    rows = (",".join(map(_fmt, row)) + "\n" for row in report.trace)
+    _write(path, itertools.chain([TRACE_HEADER + "\n"], rows))
 
 
 def _load(args, *extra: str) -> BuiltProblem:
@@ -264,8 +274,7 @@ def cmd_sweep(args) -> int:
         return EXIT_SEMANTIC
 
     out_path = args.out or str(Path(args.problem).with_suffix(".sweep.csv"))
-    with open(out_path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("\n".join(lines) + "\n")
+    _write(out_path, ["\n".join(lines) + "\n"])
     if not args.quiet:
         print(f"sweep results : {out_path}")
     return EXIT_OK

@@ -222,8 +222,9 @@ class Intersection(ConvexSet):
         return self.members[0].dim
 
     def _project(self, x):
-        cur = x.copy()
-        increments = [np.zeros_like(x) for _ in self.members]
+        # no copy, no zero arrays: members return new arrays; cur + 0.0 == cur + zeros
+        cur = x
+        increments = [0.0] * len(self.members)
         for _ in range(DYKSTRA_MAX_CYCLES):
             prev = cur
             for i, member in enumerate(self.members):

@@ -119,39 +119,46 @@ def validate_schedule(
     return ScheduleReport("pass" if s.p <= 1.0 else "fail", numeric)
 
 
-def _values(seq, N: int) -> list:
-    """Materialize alpha/beta inputs: a callable on n >= 1, or an indexable
-    sequence whose element i holds the value for n = i + 1."""
-    if callable(seq):
-        return [seq(n) for n in range(1, N + 1)]
-    if isinstance(seq, np.ndarray):
-        values = seq[:N].tolist()
-    else:
-        values = list(seq[:N])
+def _values(seq, N: int) -> np.ndarray:
+    """Materialize alpha/beta inputs as an array: a callable on n >= 1, or an
+    indexable sequence whose element i holds the value for n = i + 1.
+    Fractions and other non-float values give an object array."""
+    values = np.asarray([seq(n) for n in range(1, N + 1)] if callable(seq) else seq[:N])
     if len(values) < N:
         raise UsageError(f"sequence has {len(values)} entries, need {N}")
     return values
 
 
 def scalar_recursion(x1, alpha, beta, N: int):
-    """Iterate x_{n+1} = (1 - alpha_n) * x_n + alpha_n * beta_n exactly.
+    """Iterate x_{n+1} = (1 - alpha_n) * x_n + alpha_n * beta_n.
 
-    Arithmetic is duck-typed: floats run fast, ``fractions.Fraction`` inputs
-    give exact rational results.  Returns ``(x_{N+1}, trajectory)`` with the
-    trajectory holding x_1 .. x_{N+1}.
+    Returns ``(x_{N+1}, trajectory)``, the trajectory holding x_1 .. x_{N+1}.
+    A ``fractions.Fraction`` in ``x1`` or in any value runs the sequential
+    loop, exact on Fractions, and the trajectory is a list.  Otherwise the
+    affine maps x -> (1 - alpha_n) x + alpha_n beta_n are composed by a
+    float64 doubling scan (Blelloch 1990), equal to the loop up to rounding,
+    and the trajectory is a float64 array.
     """
     if x1 < 0:
         raise UsageError("x1 must be nonnegative")
     if N < 0:
         raise UsageError("N must be nonnegative")
-    avals = _values(alpha, N)
-    bvals = _values(beta, N)
-    x = x1
-    # preallocated: growing the list by appends copies it on some reallocs
-    trajectory = [x] * (N + 1)
-    for n, a, b in zip(range(1, N + 1), avals, bvals):
-        if not 0 <= a <= 1:
-            raise UsageError(f"alpha value {a} is outside [0, 1]")
-        x = (1 - a) * x + a * b
-        trajectory[n] = x
-    return x, trajectory
+    a, b = _values(alpha, N), _values(beta, N)
+    inside = (a >= 0) & (a <= 1)  # False at NaN
+    if not inside.all():
+        raise UsageError(f"alpha value {a[inside.argmin()]} is outside [0, 1]")
+    if object in (np.asarray(x1).dtype, a.dtype, b.dtype):
+        trajectory = [x1] * (N + 1)  # preallocated: appends copy the list on some reallocs
+        for n, an, bn in zip(range(1, N + 1), a.tolist(), b.tolist()):
+            trajectory[n] = (1 - an) * trajectory[n - 1] + an * bn
+        return trajectory[-1], trajectory
+    trajectory = np.empty(N + 1)
+    trajectory[0] = x1
+    A, B = 1.0 - a, np.multiply(a, b, out=trajectory[1:])
+    k = 1
+    while k < N:  # (A_i, B_i): maps i-k+1 .. i composed; each pass doubles k
+        B[k:] += A[k:] * B[:-k]
+        A[k:] *= A[:-k]
+        k *= 2
+    B += A * x1
+    return float(trajectory[-1]), trajectory

@@ -78,10 +78,17 @@ class ProblemSpec:
         if self.reference is not None:
             object.__setattr__(self, "reference", self.C._checked(self.reference))
         if self.fix_points is not None:
-            rows = [self.C._checked(row) for row in self.fix_points]
-            if not rows:
+            try:
+                points = np.array(self.fix_points, dtype=float)
+            except (TypeError, ValueError):  # ragged or non-numeric rows
+                points = np.empty(0)
+            if points.shape[1:] != (self.C.dim,) or not np.isfinite(points).all():
+                # row by row: the first bad row's own error; a 1-d C takes scalar rows
+                rows = [self.C._checked(row) for row in self.fix_points]
+                points = np.array(rows).reshape(-1, self.C.dim)
+            if not len(points):
                 raise UsageError("fix_points must hold at least one point")
-            object.__setattr__(self, "fix_points", np.vstack(rows))
+            object.__setattr__(self, "fix_points", points)
 
 
 @dataclass(frozen=True)

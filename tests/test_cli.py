@@ -488,6 +488,15 @@ def test_unwritable_output_path(minnorm, tmp_path, command, where):
     assert err.startswith("cannot write ")
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+@pytest.mark.parametrize("command, flags", [("run", ["--trace-out"]), ("sweep", ["--p-values", "0.5", "--out"])])
+def test_failed_write_names_its_path(minnorm, capsys, command, flags):
+    # open succeeds and the write or its flush fails; that OSError has no
+    # file name of its own, so this used to print "cannot write None: ..."
+    assert cli.main([command, minnorm, "--max-iters", "5", *flags, "/dev/full"]) == cli.EXIT_PARSE
+    assert capsys.readouterr().err.startswith("cannot write /dev/full: [Errno 28] ")
+
+
 @pytest.mark.parametrize(
     "argv, code, stream, text",
     [

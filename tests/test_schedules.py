@@ -92,13 +92,25 @@ class TestScalarRecursion:
     def test_full_step(self):
         final, traj = scalar_recursion(1.0, lambda n: 1.0, lambda n: 0.0, 1)
         assert final == 0.0
-        assert traj == [1.0, 0.0]
+        assert traj.tolist() == [1.0, 0.0]
 
     def test_telescoping_exact_with_fractions(self):
         final, _ = scalar_recursion(
             Fraction(1), lambda n: Fraction(1, n + 1), lambda n: Fraction(0), 999
         )
         assert final == Fraction(1, 1000)
+
+    @pytest.mark.parametrize("x1", [Fraction(1), 1.0])
+    def test_fraction_values_stay_exact(self, x1):
+        # a Fraction in x1 or in the values keeps the sequential loop
+        alpha = [Fraction(1, n + 1) for n in range(1, 10)]
+        final, traj = scalar_recursion(x1, alpha, [Fraction(1, 2)] * 9, 9)
+        assert isinstance(traj, list) and len(traj) == 10
+        if isinstance(x1, Fraction):
+            assert final == Fraction(1, 2) + Fraction(1, 2) / 10
+            assert all(isinstance(x, Fraction) for x in traj)
+        else:
+            assert final == pytest.approx(0.55, rel=1e-15)
 
     def test_telescoping_float_close(self):
         final, _ = scalar_recursion(1.0, lambda n: 1.0 / (n + 1), lambda n: 0.0, 999)
@@ -116,8 +128,19 @@ class TestScalarRecursion:
         assert len(traj) == 101
 
     def test_alpha_out_of_range(self):
-        with pytest.raises(UsageError):
+        with pytest.raises(UsageError, match=r"^alpha value 2.0 is outside \[0, 1\]$"):
             scalar_recursion(1.0, lambda n: 2.0, lambda n: 0.0, 3)
+
+    @pytest.mark.parametrize(
+        "bad, text", [(2.0, "2.0"), (math.nan, "nan"), (-0.5, "-0.5"), (Fraction(3, 2), "3/2")]
+    )
+    @pytest.mark.parametrize("as_array", [False, True])
+    def test_first_bad_alpha_is_named(self, bad, text, as_array):
+        alpha = [0.5, bad, 7.0]
+        if as_array:
+            alpha = np.array(alpha, dtype=object if isinstance(bad, Fraction) else float)
+        with pytest.raises(UsageError, match=rf"^alpha value {text} is outside \[0, 1\]$"):
+            scalar_recursion(1.0, alpha, lambda n: 0.0, 3)
 
     def test_short_sequence_rejected(self):
         with pytest.raises(UsageError):
@@ -135,6 +158,41 @@ def test_monotone_tail_with_zero_beta(x1, seed):
     final, traj = scalar_recursion(x1, alphas, np.zeros(200), 200)
     assert all(a >= b for a, b in zip(traj, traj[1:]))
     assert final >= 0.0
+
+
+def _sequential(x1, alphas, betas):
+    """The loop the float scan replaces, as a reference."""
+    x, out = x1, [x1]
+    for a, b in zip(alphas.tolist(), betas.tolist()):
+        x = (1 - a) * x + a * b
+        out.append(x)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_scan_matches_sequential_loop(seed):
+    # the doubling scan reassociates products and sums; rounding is the only
+    # allowed difference, so 1e-12 relative is far above float64's 1e-16 steps
+    rng = np.random.default_rng(seed)
+    p = rng.uniform(0.1, 1.0)
+    fam = Schedule(rng.uniform(0.5, 1.0), p, rng.uniform(0.0, 1.0), p + rng.uniform(0.4, 1.0))
+    n, x1 = 10**5, rng.uniform(0, 10)
+    final, traj = scalar_recursion(x1, fam.alpha_array(n), fam.beta_array(n), n)
+    ref = _sequential(x1, fam.alpha_array(n), fam.beta_array(n))
+    assert traj.dtype == np.float64 and traj.shape == (n + 1,)
+    assert np.all(np.abs(traj - ref) <= 1e-12 * np.abs(ref))
+    assert final == traj[-1]
+
+
+def test_scan_matches_sequential_loop_at_every_short_length():
+    # lengths 2^m + 1 need the last doubling pass, at offset 2^m
+    rng = np.random.default_rng(11)
+    for n in range(70):
+        alphas, betas, x1 = rng.uniform(0, 1, n), rng.uniform(0, 1, n), rng.uniform(0, 10)
+        final, traj = scalar_recursion(x1, alphas, betas, n)
+        ref = _sequential(x1, alphas, betas)
+        assert np.allclose(traj, ref, rtol=1e-12, atol=0.0), n
+        assert final == traj[-1]
 
 
 def test_random_power_schedules_drive_recursion_down():

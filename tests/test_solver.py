@@ -300,14 +300,46 @@ class TestViResidual:
             assert line.contains(p)
         assert vi_residual(np.array([1.0, 1.0]), spec) <= 1e-9
 
+    BAD_FIX_POINTS = [
+        ([[1.0, 1.0, 0.0]], "point dimension 3 does not match set dimension 2"),
+        ([[1.0, 1.0], [1.0]], "point dimension 1 does not match set dimension 2"),
+        ([[np.nan, 1.0]], "vector coordinates must be finite"),
+        ([], "fix_points must hold at least one point"),
+        (np.empty((0, 2)), "fix_points must hold at least one point"),
+        (np.array([[1.0, 1.0], [1.0, np.inf]]), "vector coordinates must be finite"),
+        ([[[1.0, 1.0]]], "a vector must be a nonempty 1-d array of reals"),
+        ([[]], "a vector must be a nonempty 1-d array of reals"),
+        ([1.0, 1.0], "point dimension 1 does not match set dimension 2"),
+    ]
+
     @pytest.mark.parametrize(
-        "points", [[[1.0, 1.0, 0.0]], [[1.0, 1.0], [1.0]], [[np.nan, 1.0]], [], np.empty((0, 2))]
+        "points, message", BAD_FIX_POINTS, ids=[f"points{i}" for i in range(len(BAD_FIX_POINTS))]
     )
-    def test_bad_fix_points_are_rejected_when_built(self, points):
+    def test_bad_fix_points_are_rejected_when_built(self, points, message):
         # a point of the wrong dimension used to fail later, as a numpy
-        # ValueError in validate_problem or in solve's matmul
-        with pytest.raises(UsageError):
+        # ValueError in validate_problem or in solve's matmul; the messages
+        # are those of the row-by-row check the array pass falls back to
+        with pytest.raises(UsageError, match=f"^{message}$"):
             make_spec(fix_points=points)
+
+    def test_fix_points_checked_in_one_pass(self, monkeypatch):
+        # each rebuilt spec (dataclasses.replace) used to check every row
+        spec = make_spec(fix_points=np.ones((32, 2)), reference=[1.0, 1.0])
+        calls = []
+        checked = type(spec.C)._checked
+        monkeypatch.setattr(type(spec.C), "_checked", lambda C, x: calls.append(1) or checked(C, x))
+        copy = dataclasses.replace(spec, mode=Single())
+        assert len(calls) == 2  # x1 and reference
+        assert copy.fix_points is not spec.fix_points
+        assert np.array_equal(copy.fix_points, spec.fix_points)
+
+    def test_scalar_fix_points_of_a_line(self):
+        line = Box(np.zeros(1), np.ones(1))
+        spec = make_spec(
+            C=line, T=sahu_step(), S=identity_map(line), V=zero_map(line),
+            F=identity_map(line), x1=[0.8], fix_points=np.array([0.5, 0.25]),
+        )
+        assert np.array_equal(spec.fix_points, [[0.5], [0.25]])
 
     @pytest.mark.parametrize("field", ["x1", "reference"])
     def test_wrong_dimension_point_is_rejected_when_built(self, field):
