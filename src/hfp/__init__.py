@@ -45,7 +45,6 @@ from .operators import (
 )
 from .schedules import (
     Schedule,
-    ScheduleReport,
     power_schedule,
     scalar_recursion,
     validate_schedule,

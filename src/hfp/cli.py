@@ -246,8 +246,7 @@ def cmd_sweep(args) -> int:
     for p, q in grid:
         try:
             schedule = dataclasses.replace(built.spec.schedule, p=p, q=q)
-            report = validate_schedule(schedule, nearly)
-            failures = report.failures()
+            failures = validate_schedule(schedule, nearly)
         except UsageError as exc:
             failures = [str(exc)]
         if failures:

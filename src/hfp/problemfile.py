@@ -365,12 +365,7 @@ def build_problem(raw: RawConfig) -> BuiltProblem:
             x1=x1, fix_points=fix_points, reference=reference, seed=seed,
         )
         spec = reduce_variant(base, variant)
+        stop = StopRule(*values("stop"))
     except (ProblemDefinitionError, UsageError, NumericError) as exc:
         raise ProblemFileSemanticError(str(exc)) from exc
-    max_iters, *tolerances = values("stop")
-    if max_iters < 1:
-        raise ProblemFileSemanticError(f"stop.max_iters = {max_iters} is below 1")
-    for (key, *_), tol in zip(_SECTIONS["stop"][1:], tolerances):
-        if tol is not None and tol < 0:
-            raise ProblemFileSemanticError(f"stop.{key} = {tol} is below 0")
-    return BuiltProblem(spec, StopRule(max_iters, *tolerances), *values("output"))
+    return BuiltProblem(spec, stop, *values("output"))

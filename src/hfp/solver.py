@@ -13,6 +13,7 @@ and F = I that solution is the minimum-norm fixed point.
 from __future__ import annotations
 
 import dataclasses
+import numbers
 import time
 from dataclasses import dataclass, field
 from typing import List, NamedTuple, Optional, Union
@@ -100,6 +101,14 @@ class StopRule:
     tol_fix: Optional[float] = 1e-8
     tol_vi: Optional[float] = 1e-8
 
+    def __post_init__(self):
+        if not (isinstance(self.max_iters, numbers.Integral) and self.max_iters >= 1):
+            raise UsageError(f"stop.max_iters = {self.max_iters} is below 1 or not an integer")
+        for name in ("tol_step", "tol_fix", "tol_vi"):
+            tol = getattr(self, name)  # NaN fails 0 <= tol
+            if tol is not None and not (isinstance(tol, numbers.Real) and 0 <= tol < np.inf):
+                raise UsageError(f"stop.{name} = {tol} is below 0 or not a finite real")
+
 
 class TraceRow(NamedTuple):
     n: int
@@ -163,11 +172,10 @@ def validate_problem(p: ProblemSpec) -> List[str]:
             violations.append(str(exc))
 
     try:
-        report = validate_schedule(p.schedule, p.T.meta.nearly_seq)
+        failures = validate_schedule(p.schedule, p.T.meta.nearly_seq)
     except UsageError as exc:
-        violations.append(f"schedule: {exc}")
-    else:
-        violations.extend(f"schedule: {msg}" for msg in report.failures())
+        failures = [str(exc)]
+    violations.extend(f"schedule: {msg}" for msg in failures)
 
     if p.fix_points is not None:
         for point in p.fix_points:

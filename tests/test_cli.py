@@ -395,6 +395,26 @@ class TestSweep:
         assert len(rejected) == 1
         assert rejected[0].startswith("1.5,")
 
+    def test_exact_schedule_rule_grid(self, minnorm, tmp_path):
+        # p = 0.2 and (0.5, 0.6) used to fail finite-horizon trend checks
+        out = tmp_path / "sweep.csv"
+        args = ["--p-values", "0.2", "0.5", "0.9", "--q-values", "0.3", "0.6", "1.2"]
+        code = cli.main(["sweep", minnorm, *args, "--max-iters", "200", "--out", str(out), "--quiet"])
+        assert code == cli.EXIT_OK
+        beta = "rejected: beta_n / alpha_n -> 0 fails (beta0 > 0 and q <= p)"
+        rows = [line.split(",")[:3] for line in out.read_text().splitlines()[1:]]
+        assert rows == [
+            ["0.2", "0.3", "ok"],
+            ["0.2", "0.6", "ok"],
+            ["0.2", "1.2", "ok"],
+            ["0.5", "0.3", beta],
+            ["0.5", "0.6", "ok"],
+            ["0.5", "1.2", "ok"],
+            ["0.9", "0.3", beta],
+            ["0.9", "0.6", beta],
+            ["0.9", "1.2", "ok"],
+        ]
+
     def test_repeat_byte_identical(self, minnorm, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         for path in (a, b):

@@ -46,40 +46,52 @@ class TestPowerFamily:
 
 class TestValidateSchedule:
     def test_default_schedule_passes(self):
-        report = validate_schedule(power_schedule(1.0, 0.5, 1.0, 0.9))
-        assert report.structural_divergence == "pass"
-        assert report.passed
-        # beta/alpha = n^-0.4 at the horizon
-        value, ok = report.numeric_checks["beta_over_alpha"]
-        assert ok
-        assert value == pytest.approx((10**6) ** -0.4, rel=1e-6)
+        assert validate_schedule(power_schedule(1.0, 0.5, 1.0, 0.9)) == []
 
     def test_summable_alpha_rejected(self):
-        report = validate_schedule(power_schedule(1.0, 2.0, 1.0, 2.5))
-        assert report.structural_divergence == "fail"
-        assert not report.passed
+        failures = validate_schedule(power_schedule(1.0, 2.0, 1.0, 2.5))
+        assert failures == ["sum of alpha diverges fails (p > 1)"]
 
     def test_beta_equal_alpha_rejected(self):
-        report = validate_schedule(power_schedule(1.0, 0.5, 1.0, 0.5))
-        value, ok = report.numeric_checks["beta_over_alpha"]
-        assert value == pytest.approx(1.0)
-        assert not ok
+        failures = validate_schedule(power_schedule(1.0, 0.5, 1.0, 0.5))
+        assert failures == ["beta_n / alpha_n -> 0 fails (beta0 > 0 and q <= p)"]
 
     def test_every_condition_reported_once(self):
-        report = validate_schedule(power_schedule(1.0, 0.5, 1.0, 0.9))
-        assert sorted(report.numeric_checks) == [
-            "a_over_alpha",
-            "alpha_increment_over_alpha",
-            "alpha_to_zero",
-            "beta_increment_over_alpha",
-            "beta_over_alpha",
+        flat = NearnessSequence(lambda n: 1e-7)
+        failures = validate_schedule(power_schedule(1.0, 1.5, 1.0, 1.2), flat)
+        assert [f.split(" fails")[0] for f in failures] == [
+            "sum of alpha diverges",
+            "a_over_alpha trend check",
+            "beta_n / alpha_n -> 0",
         ]
 
     def test_nearness_ratio_checked(self):
         slow = NearnessSequence(lambda n: 0.1 / n)
-        report = validate_schedule(power_schedule(1.0, 0.5, 1.0, 0.9), slow)
-        _, ok = report.numeric_checks["a_over_alpha"]
-        assert ok
+        assert validate_schedule(power_schedule(1.0, 0.5, 1.0, 0.9), slow) == []
+
+    def test_nearness_ratio_failure_names_its_value(self):
+        # a_n / alpha_n = 1e-7 * 10^6 at the horizon: the one trend left
+        flat = NearnessSequence(lambda n: 1e-7)
+        assert validate_schedule(power_schedule(1.0, 1.0, 1.0, 2.0), flat) == [
+            "a_over_alpha trend check fails (value 0.1 at horizon)"
+        ]
+
+    @pytest.mark.parametrize("p, q", [(0.2, 0.6), (0.5, 0.55)])
+    def test_slow_valid_schedules_pass(self, p, q):
+        # n^-0.2 -> 0 and n^-0.05 -> 0, though slowly; finite-horizon trend
+        # checks of alpha_n and beta_n / alpha_n used to reject both
+        assert validate_schedule(Schedule(1.0, p, 1.0, q)) == []
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(
+        alpha0=st.floats(1e-6, 1.0),
+        p=st.floats(0.0, 3.0, exclude_min=True),
+        beta0=st.floats(0.0, 1.0),
+        q=st.floats(0.0, 3.0, exclude_min=True),
+    )
+    def test_exact_rule(self, alpha0, p, beta0, q):
+        exact = p <= 1 and (beta0 == 0 or q > p)
+        assert (validate_schedule(Schedule(alpha0, p, beta0, q)) == []) == exact
 
     def test_alpha_zero_is_usage_error(self):
         s = power_schedule(1.0, 1000.0, 1.0, 0.9)
@@ -145,6 +157,12 @@ class TestScalarRecursion:
     def test_short_sequence_rejected(self):
         with pytest.raises(UsageError):
             scalar_recursion(1.0, [0.5, 0.5], [0.0, 0.0], 5)
+
+    @pytest.mark.parametrize("x1", [math.nan, -1.0])
+    def test_bad_x1_rejected(self, x1):
+        # a NaN x1 used to pass the "< 0" test and give a NaN trajectory
+        with pytest.raises(UsageError, match="x1 must be nonnegative"):
+            scalar_recursion(x1, [0.5] * 3, [1.0] * 3, 3)
 
 
 @settings(max_examples=50, deadline=None)

@@ -259,6 +259,24 @@ class TestSolve:
         with pytest.raises(NumericError, match="not a finite point"):
             solve(spec, budget_stop(10**4))
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("max_iters", 0),
+            ("max_iters", -3),
+            ("max_iters", 2.5),
+            ("tol_step", math.nan),
+            ("tol_step", -1.0),
+            ("tol_fix", math.inf),
+            ("tol_vi", "1e-8"),
+        ],
+    )
+    def test_stop_rule_checks_its_fields(self, field, value):
+        # a budget below 1 used to return x1 with an empty trace, and a NaN or
+        # negative tolerance never fired
+        with pytest.raises(UsageError, match=rf"^stop\.{field} = {value} is below"):
+            StopRule(**{field: value})
+
     def test_step_checks_its_input(self, minnorm_problem):
         for bad in ([np.nan, 1.0], [1.0, 2.0, 3.0]):
             with pytest.raises(UsageError):
