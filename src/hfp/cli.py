@@ -32,6 +32,7 @@ from .solver import (
     FullPower,
     ProblemSpec,
     SolveReport,
+    Trace,
     TraceRow,
     check_power_regularity,
     reduce_variant,
@@ -46,15 +47,8 @@ EXIT_BUDGET = 3
 EXIT_NUMERIC = 4
 
 TRACE_HEADER = ",".join(TraceRow._fields)  # a trace line is one TraceRow
+TRACE_BLOCK = 1024  # trace rows formatted at a time; more save no time and raise peak memory
 CERTIFIER_SAMPLES = 200  # pairs per spot check of a declared constant
-
-
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, int):
-        return str(value)
-    return repr(float(value))
 
 
 def _write(path: str, lines):
@@ -67,9 +61,20 @@ def _write(path: str, lines):
         raise
 
 
+def _trace_blocks(trace: Trace):
+    """The CSV text of ``trace``, TRACE_BLOCK rows to a string."""
+    for start in range(0, len(trace), TRACE_BLOCK):
+        stop = min(start + TRACE_BLOCK, len(trace))
+        # a float64 column gives back the floats it stored, so repr is their text
+        fields = [map(str, range(start + 1, stop + 1))] + [
+            itertools.repeat("", stop - start) if c is None else map(repr, c[start:stop].tolist())
+            for c in trace.columns()
+        ]
+        yield "\n".join(map(",".join, zip(*fields))) + "\n"
+
+
 def write_trace(path: str, report: SolveReport):
-    rows = (",".join(map(_fmt, row)) + "\n" for row in report.trace)
-    _write(path, itertools.chain([TRACE_HEADER + "\n"], rows))
+    _write(path, itertools.chain([TRACE_HEADER + "\n"], _trace_blocks(report.trace)))
 
 
 def _load(args, *extra: str) -> BuiltProblem:
@@ -150,17 +155,16 @@ def cmd_validate(args) -> int:
 def _summary(report: SolveReport, trace_path: str, quiet: bool):
     if quiet:
         return
-    last = report.trace[-1] if report.trace else None
+    last = report.trace[-1]
     print(f"stop reason    : {report.stop_reason}")
     print(f"iterations     : {report.iterations}")
     print(f"final x        : {report.final_x.tolist()}")
-    if last is not None:
-        print(f"step_norm      : {_fmt(last.step_norm)}")
-        print(f"fix_residual   : {_fmt(last.fix_residual)}")
-        if last.vi_residual is not None:
-            print(f"vi_residual    : {_fmt(last.vi_residual)}")
-        if last.dist_to_reference is not None:
-            print(f"dist_to_ref    : {_fmt(last.dist_to_reference)}")
+    print(f"step_norm      : {last.step_norm!r}")
+    print(f"fix_residual   : {last.fix_residual!r}")
+    if last.vi_residual is not None:
+        print(f"vi_residual    : {last.vi_residual!r}")
+    if last.dist_to_reference is not None:
+        print(f"dist_to_ref    : {last.dist_to_reference!r}")
     print(f"trace          : {trace_path}")
 
 
@@ -250,14 +254,14 @@ def cmd_sweep(args) -> int:
         except UsageError as exc:
             failures = [str(exc)]
         if failures:
-            lines.append(f"{_fmt(p)},{_fmt(q)},rejected: {failures[0]},,")
+            lines.append(f"{p!r},{q!r},rejected: {failures[0]},,")
             continue
         admissible += 1
         spec = dataclasses.replace(built.spec, schedule=schedule)
         if violations is None:
             violations = validate_problem(spec)
         if violations:
-            lines.append(f"{_fmt(p)},{_fmt(q)},rejected: {violations[0]},,")
+            lines.append(f"{p!r},{q!r},rejected: {violations[0]},,")
             continue
         try:
             result = solve(spec, built.stop, check_valid=False)
@@ -265,8 +269,7 @@ def cmd_sweep(args) -> int:
             print(f"numeric failure at (p={p}, q={q}): {exc}", file=sys.stderr)
             return EXIT_NUMERIC
         iters = "" if result.stop_reason == "budget" else str(result.iterations)
-        final_res = _fmt(result.trace[-1].fix_residual) if result.trace else ""
-        lines.append(f"{_fmt(p)},{_fmt(q)},ok,{iters},{final_res}")
+        lines.append(f"{p!r},{q!r},ok,{iters},{result.trace[-1].fix_residual!r}")
 
     if admissible == 0:
         print("no admissible grid points", file=sys.stderr)

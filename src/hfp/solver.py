@@ -15,6 +15,8 @@ from __future__ import annotations
 import dataclasses
 import numbers
 import time
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import List, NamedTuple, Optional, Union
 
@@ -122,11 +124,36 @@ class TraceRow(NamedTuple):
 
 
 @dataclass
+class Trace(Sequence):
+    """A solve's trace as 8-byte columns; row i, a TraceRow, is iteration i + 1."""
+
+    alpha: array
+    beta: array
+    step_norm: array
+    fix_residual: array
+    vi_residual: Optional[array]  # None without fix_points
+    dist_to_reference: Optional[array]  # None without a reference
+    elapsed_ns: Optional[array]  # None without collect_timing
+
+    def columns(self) -> list:
+        return [getattr(self, name) for name in TraceRow._fields[1:]]
+
+    def __len__(self) -> int:
+        return len(self.alpha)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        i = range(len(self))[i]  # negative indices; IndexError past the end
+        return TraceRow(i + 1, *(None if c is None else c[i] for c in self.columns()))
+
+
+@dataclass
 class SolveReport:
     final_x: np.ndarray
     stop_reason: str  # "budget" | "step" | "fix" | "vi"
     iterations: int
-    trace: List[TraceRow]
+    trace: Trace
 
 
 def validate_problem(p: ProblemSpec) -> List[str]:
@@ -268,7 +295,12 @@ def solve(
 
     probed = p.fix_points is not None
     x = p.x1
-    trace: List[TraceRow] = []
+    trace = Trace(
+        *(array("d") for _ in range(4)),
+        array("d") if probed else None,
+        array("d") if p.reference is not None else None,
+        array("q") if collect_timing else None,
+    )
     reason = "budget"
     n = 0
     for n in range(1, stop.max_iters + 1):
@@ -281,7 +313,16 @@ def solve(
         vi = _vi_residual(x_next, p) if probed else None
         dist = _norm(x_next - p.reference) if p.reference is not None else None
         elapsed = time.perf_counter_ns() - t0 if collect_timing else None
-        trace.append(TraceRow(n, alpha, beta, step_norm, fix_res, vi, dist, elapsed))
+        trace.alpha.append(alpha)
+        trace.beta.append(beta)
+        trace.step_norm.append(step_norm)
+        trace.fix_residual.append(fix_res)
+        if probed:
+            trace.vi_residual.append(vi)
+        if dist is not None:
+            trace.dist_to_reference.append(dist)
+        if collect_timing:
+            trace.elapsed_ns.append(elapsed)
         x = x_next
         if stop.tol_step is not None and step_norm <= stop.tol_step:
             reason = "step"

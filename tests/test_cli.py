@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import os
 import shutil
@@ -7,12 +8,18 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from hfp import cli, problemfile
-from conftest import child_env
+from hfp.fixtures import identity_map, zero_map
+from hfp.geometry import Ball, Halfspace, Intersection
+from hfp.operators import MappingHandle, OperatorMeta, zero_sequence
+from hfp.schedules import power_schedule
+from hfp.solver import FullPower, ProblemSpec, solve
+from conftest import budget_stop, child_env
 
 PROBLEMS_DIR = Path(__file__).resolve().parent.parent / "problems"
 
@@ -235,6 +242,71 @@ class TestRun:
         assert rc == cli.EXIT_SEMANTIC
         assert "violation: T = contraction(3.0) declares neither" in out
         assert not (tmp_path / "expanding.trace.csv").exists()
+
+
+def _row_by_row(report) -> bytes:
+    """The trace CSV as the per-row writer formatted it, one field at a time."""
+
+    def fmt(value):
+        if value is None:
+            return ""
+        if isinstance(value, int):
+            return str(value)
+        return repr(float(value))
+
+    rows = (",".join(map(fmt, row)) + "\n" for row in report.trace)
+    return (cli.TRACE_HEADER + "\n" + "".join(rows)).encode()
+
+
+class TestWriteTrace:
+    BLOCK = 7
+
+    @pytest.mark.parametrize("rows", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
+    @pytest.mark.parametrize(
+        "fix_points, reference, timing",
+        [(False, False, False), (True, False, False), (False, True, False), (True, True, True)],
+    )
+    def test_blocks_match_the_row_writer(
+        self, minnorm_problem, tmp_path, monkeypatch, rows, fix_points, reference, timing
+    ):
+        monkeypatch.setattr(cli, "TRACE_BLOCK", self.BLOCK)
+        spec = dataclasses.replace(
+            minnorm_problem,
+            fix_points=minnorm_problem.fix_points if fix_points else None,
+            reference=minnorm_problem.reference if reference else None,
+        )
+        report = solve(spec, budget_stop(rows), collect_timing=timing)
+        path = tmp_path / "t.csv"
+        cli.write_trace(str(path), report)
+        assert path.read_bytes() == _row_by_row(report)
+        assert len(path.read_bytes().splitlines()) == rows + 1
+
+    def test_full_blocks(self, minnorm_problem, tmp_path):
+        report = solve(minnorm_problem, budget_stop(2 * cli.TRACE_BLOCK + 3))
+        path = tmp_path / "t.csv"
+        cli.write_trace(str(path), report)
+        assert path.read_bytes() == _row_by_row(report)
+
+    def test_raw_power_solve_is_silent(self, tmp_path, capfd):
+        # T averages toward the plane x2 = 0, which keeps C = ball ∩ {x1 >= 0.5};
+        # T has no closed-form power, so every raw step tests membership by Dykstra
+        C = Intersection((Ball(np.zeros(3), 2.0), Halfspace(np.array([-1.0, 0.0, 0.0]), -0.5)))
+        T = MappingHandle(
+            name="averaged_projection",
+            evaluate=lambda x: np.asarray(x, dtype=float) * np.array([1.0, 0.5, 1.0]),
+            domain=C,
+            maps_into_domain=True,
+            meta=OperatorMeta(lipschitz=1.0, nearly_seq=zero_sequence()),
+        )
+        spec = ProblemSpec(
+            C=C, T=T, S=identity_map(C), V=zero_map(C), F=identity_map(C),
+            rho=0.0, mu=1.0, schedule=power_schedule(0.5, 0.5, 1.0, 0.9),
+            mode=FullPower(), x1=np.array([1.0, 1.0, 0.5]),
+        )
+        report = solve(spec, budget_stop(60))
+        cli.write_trace(str(tmp_path / "t.csv"), report)
+        assert report.iterations == 60
+        assert capfd.readouterr() == ("", "")
 
 
 class TestCompare:

@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,6 +35,8 @@ from hfp.solver import (
     ProblemSpec,
     Single,
     StopRule,
+    Trace,
+    TraceRow,
     check_power_regularity,
     reduce_variant,
     solve,
@@ -283,6 +287,60 @@ class TestSolve:
                 step(minnorm_problem, 1, bad)
         with pytest.raises(UsageError):
             step(minnorm_problem, 0, minnorm_problem.x1)
+
+
+class TestTrace:
+    def test_rows_are_the_columns(self, minnorm_problem):
+        trace = solve(minnorm_problem, budget_stop(50), collect_timing=True).trace
+        assert isinstance(trace, Trace) and len(trace) == 50
+        rows = list(trace)
+        assert [row.n for row in rows] == list(range(1, 51))
+        for i, row in enumerate(rows):
+            assert isinstance(row, TraceRow)
+            assert row == trace[i] == trace[i - 50]
+            assert row[1:] == tuple(column[i] for column in trace.columns())
+            assert type(row.elapsed_ns) is int and row.elapsed_ns >= 0
+        assert trace[-1].n == 50
+
+    def test_index_errors_and_slices(self, minnorm_problem):
+        trace = solve(minnorm_problem, budget_stop(12)).trace
+        rows = list(trace)
+        for i in (12, 100, -13):
+            with pytest.raises(IndexError):
+                trace[i]
+        for cut in (slice(None), slice(3, 7), slice(-4, None), slice(None, None, -2), slice(20, 30)):
+            assert trace[cut] == rows[cut]
+
+    def test_absent_columns_are_none(self):
+        trace = solve(make_spec(), budget_stop(5)).trace
+        assert trace.vi_residual is trace.dist_to_reference is trace.elapsed_ns is None
+        assert trace[-1].vi_residual is trace[-1].dist_to_reference is trace[-1].elapsed_ns is None
+
+    def test_equality_is_as_strict_as_rows(self, minnorm_problem):
+        a = solve(minnorm_problem, budget_stop(30)).trace
+        other_value = copy.deepcopy(a)
+        other_value.fix_residual[17] = math.nextafter(a.fix_residual[17], math.inf)
+        others = [
+            other_value,
+            solve(minnorm_problem, budget_stop(29)).trace,
+            solve(dataclasses.replace(minnorm_problem, reference=None), budget_stop(30)).trace,
+            solve(minnorm_problem, budget_stop(30), collect_timing=True).trace,
+        ]
+        assert a == copy.deepcopy(a) and list(a) == list(copy.deepcopy(a))
+        for b in others:
+            assert a != b and list(a) != list(b)
+
+    def test_memory_per_row(self, minnorm_problem):
+        rows = 20000
+        tracemalloc.start()
+        try:
+            report = solve(minnorm_problem, budget_stop(rows))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(report.trace) == rows
+        # six float64 columns take 48 bytes a row; a list of TraceRows took 272
+        assert peak / rows <= 64
 
 
 class TestViResidual:
