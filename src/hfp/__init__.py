@@ -13,7 +13,6 @@ from .geometry import (
     UsageError,
     WholeSpace,
     distance,
-    inner,
     norm,
     project,
     vector,

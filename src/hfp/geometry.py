@@ -49,15 +49,6 @@ def vector(coords) -> np.ndarray:
     return v
 
 
-def inner(a, b) -> float:
-    """Standard Euclidean inner product."""
-    a = vector(a)
-    b = vector(b)
-    if a.shape != b.shape:
-        raise UsageError(f"dimension mismatch: {a.size} vs {b.size}")
-    return float(np.dot(a, b))
-
-
 def norm(a) -> float:
     return float(np.linalg.norm(np.asarray(a, dtype=float)))
 
@@ -237,6 +228,18 @@ class Intersection(ConvexSet):
         raise DykstraError(
             f"Dykstra did not converge within {DYKSTRA_MAX_CYCLES} cycles", change
         )
+
+    def _distance(self, x):
+        # Dykstra's first cycle, whose increments are all 0.0: if it converges,
+        # _project returns this cur and ||x - cur|| is its change, to the last
+        # bit.  A NaN change (from a non-finite x) is returned, not iterated.
+        cur = x
+        for member in self.members:
+            cur = member._project(cur)
+        change = _norm(cur - x)
+        if not change > DYKSTRA_TOL:
+            return change
+        return _norm(x - self._project(x))
 
     def feasible_point(self) -> np.ndarray:
         """Probe nonemptiness: project the origin and check joint membership."""

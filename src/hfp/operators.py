@@ -122,7 +122,8 @@ def power(T: MappingHandle, n: int, x: np.ndarray) -> np.ndarray:
 
 def _power(T: MappingHandle, n: int, x: np.ndarray, start: int = 0) -> np.ndarray:
     """Kernel of :func:`power`.  Raw iterates of a self-mapping are tested
-    for membership after every step; a non-finite one fails the test.  Its
+    for membership after every step; a non-finite one fails the test, on an
+    ``Intersection`` too, whose ``_distance`` is then NaN at once.  Its
     error counts steps from ``start + 1``, for a walk resumed at T^start x."""
     cf = T.meta.closed_form_power
     if cf is not None:

@@ -45,12 +45,6 @@ class Schedule:
     def beta(self, n: int) -> float:
         return self.beta0 * float(n) ** -self.q
 
-    def alpha_array(self, N: int) -> np.ndarray:
-        return self.alpha0 * np.arange(1, N + 1, dtype=float) ** -self.p
-
-    def beta_array(self, N: int) -> np.ndarray:
-        return self.beta0 * np.arange(1, N + 1, dtype=float) ** -self.q
-
 
 power_schedule = Schedule
 

@@ -24,7 +24,7 @@ from hfp.fixtures import (
     sahu_step,
     zero_map,
 )
-from hfp.geometry import Ball, inner, norm, project, sample, sample_ambient
+from hfp.geometry import Ball, norm, project, sample, sample_ambient
 from hfp.operators import (
     certify_combined_monotone,
     certify_nearly_nonexpansive,
@@ -72,7 +72,7 @@ def test_01_projection_law():
             x2 = sample_ambient(s.dim, rng)
             y = sample(s, rng)
             px, px2 = project(s, x), project(s, x2)
-            worst_char = max(worst_char, inner(x - px, y - px))
+            worst_char = max(worst_char, float(np.dot(x - px, y - px)))
             worst_nonexp = max(worst_nonexp, norm(px - px2) - norm(x - x2))
             n += 1
     elapsed = time.perf_counter() - t0
@@ -121,8 +121,9 @@ def test_03_scalar_recursion():
             rng.uniform(0.5, 1.0), p, rng.uniform(0.0, 1.0), p + rng.uniform(0.4, 1.0)
         )
         n = 10**6
+        ns = np.arange(1, n + 1, dtype=float)
         final, _ = scalar_recursion(
-            rng.uniform(0, 10), fam.alpha_array(n), fam.beta_array(n), n
+            rng.uniform(0, 10), fam.alpha0 * ns**-fam.p, fam.beta0 * ns**-fam.q, n
         )
         worst = max(worst, final)
     elapsed = time.perf_counter() - t0

@@ -17,7 +17,6 @@ from hfp.geometry import (
     UsageError,
     WholeSpace,
     distance,
-    inner,
     norm,
     project,
     sample,
@@ -27,26 +26,7 @@ from hfp.geometry import (
 from conftest import SET_KINDS, random_set
 
 
-class TestInner:
-    def test_orthogonal(self):
-        assert inner((1, 0), (0, 1)) == 0
-
-    def test_squared_norm(self):
-        assert inner((1, 2), (1, 2)) == 5
-
-    def test_hand_arithmetic(self):
-        assert inner((2, 3), (4, -1)) == 5
-
-    def test_symmetry_and_bilinearity(self):
-        rng = np.random.default_rng(1)
-        a, b, c = rng.standard_normal((3, 4))
-        assert inner(a, b) == pytest.approx(inner(b, a))
-        assert inner(a, 2 * b + c) == pytest.approx(2 * inner(a, b) + inner(a, c))
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(UsageError):
-            inner((1, 2), (1, 2, 3))
-
+class TestVector:
     def test_nonfinite_rejected(self):
         with pytest.raises(UsageError):
             vector([1.0, float("nan")])
@@ -97,7 +77,7 @@ def test_projection_characterization_and_nonexpansiveness(kind):
         y = sample(s, rng)
         px = project(s, x)
         px2 = project(s, x2)
-        assert inner(x - px, y - px) <= 1e-9
+        assert float(np.dot(x - px, y - px)) <= 1e-9
         assert norm(px - px2) <= norm(x - x2) + 1e-12
         # idempotence
         cap = 1e-9 if kind == "intersection" else 1e-12
@@ -120,7 +100,7 @@ def test_ball_projection_is_in_ball(coords, radius):
 def test_hyperplane_projection_lands_on_plane(coords):
     plane = AffineHyperplane(np.array([1.0, -2.0, 0.5]), 3.0)
     p = project(plane, coords)
-    assert inner(plane.normal, p) == pytest.approx(3.0, abs=1e-6)
+    assert float(np.dot(plane.normal, p)) == pytest.approx(3.0, abs=1e-6)
 
 
 class TestDykstra:

@@ -14,6 +14,7 @@ import pytest
 from hfp.fixtures import contraction, identity_map, sahu_step, zero_map
 from hfp.geometry import (
     MEMBERSHIP_TOL,
+    AffineHyperplane,
     Ball,
     Box,
     Halfspace,
@@ -87,10 +88,91 @@ def test_power_kernel_matches_and_power_checks_input():
 
 
 def test_raw_power_rejects_a_nonfinite_iterate():
-    C = Ball(np.zeros(2), 10.0)
-    blowup = MappingHandle("nan", lambda x: np.full(2, np.nan), C, True)
-    with pytest.raises(NumericError, match="left its domain at power step 1"):
-        power(blowup, 3, np.zeros(2))
+    # on an intersection, Dykstra's first cycle is NaN and decides at once;
+    # an inf iterate meets inf * 0 in the ball projection, which numpy warns of
+    ball = Ball(np.zeros(3), 10.0)
+    C = Intersection((ball, Halfspace(np.array([1.0, 0.0, 0.0]), 1.0)))
+    for domain in (ball, C):
+        for value in (np.nan, np.inf):
+            blowup = MappingHandle("blowup", lambda x: np.full(3, value), domain, True)
+            with np.errstate(invalid="ignore"), pytest.raises(
+                NumericError, match="left its domain at power step 1"
+            ):
+                power(blowup, 3, np.zeros(3))
+
+
+def _intersections(rng, d):
+    """2- and 3-member intersections about a common point, one nested."""
+    center = rng.uniform(-3, 3, d)
+    ball = Ball(center, rng.uniform(1.0, 4.0))
+    normal = rng.standard_normal(d) + 1e-3
+    half = Halfspace(normal, float(np.dot(normal, center)) + rng.uniform(0.0, 2.0))
+    box = Box(center - rng.uniform(0.5, 3.0, d), center + rng.uniform(0.5, 3.0, d))
+    tilt = rng.standard_normal(d) + 1e-3
+    plane = AffineHyperplane(tilt, float(np.dot(tilt, center)))
+    return [
+        Intersection((ball, half)),
+        Intersection((half, box, ball)),
+        Intersection((Intersection((ball, half)), box)),
+        Intersection((box, plane, ball)),
+    ]
+
+
+def test_intersection_distance_equals_the_projection_gap(monkeypatch):
+    project_kernel = Intersection._project
+    outer_calls = []
+
+    def counted(self, x):
+        outer_calls.append(self)
+        return project_kernel(self, x)
+
+    monkeypatch.setattr(Intersection, "_project", counted)
+    rng = np.random.default_rng(17)
+    settled = fell_back = 0
+    for d in (1, 2, 3, 5):
+        for _ in range(5):
+            for s in _intersections(rng, d):
+                x = rng.standard_normal(d) * 8.0
+                p = project_kernel(s, x)
+                away = x - p if _norm(x - p) > 0.0 else rng.standard_normal(d)
+                away = away / _norm(away)
+                points = [x, p, project_kernel(s, rng.standard_normal(d))]
+                points += [p + eps * away for eps in (1e-13, 1e-12, 1e-11, 1e-10, 1e-9)]
+                for y in points:
+                    outer_calls.clear()
+                    assert s._distance(y) == _norm(y - project_kernel(s, y))
+                    if any(c is s for c in outer_calls):
+                        fell_back += 1
+                    else:
+                        settled += 1
+    assert settled > 0 and fell_back > 0
+
+
+def test_raw_walk_on_an_intersection_runs_no_dykstra_projection(monkeypatch):
+    # dykstra_power's shape: ball meets halfspace <e, x> >= t0 at a corner, and
+    # T shrinks the coordinate along a, orthogonal to both normals, so T maps C
+    # into C; walks start at P_C outputs, which sit about 1e-11 outside the ball
+    rng = np.random.default_rng(5)
+    a, e, f = np.linalg.qr(rng.standard_normal((3, 3)))[0].T
+    corner = 0.7 * (e + f)
+    normal = (f - 0.5 * e) / _norm(f - 0.5 * e)
+    C = Intersection((Ball(corner - 3.0 * normal, 3.0), Halfspace(-e, -0.7)))
+    T = MappingHandle("shrink", lambda x: x - 0.08 * float(np.dot(a, x)) * a, C, True)
+    starts = [C._project(rng.standard_normal(3) * 4.0) for _ in range(6)]
+    expected = []
+    for y in starts:
+        for _ in range(150):
+            y = T.evaluate(y)
+            assert _norm(y - C._project(y)) <= MEMBERSHIP_TOL  # the old guard passes
+        expected.append(y)
+    guard_projections = []
+    project_kernel = Intersection._project
+    monkeypatch.setattr(
+        Intersection, "_project", lambda s, x: guard_projections.append(1) or project_kernel(s, x)
+    )
+    for y, want in zip(starts, expected):
+        assert np.array_equal(_power(T, 150, y), want)
+    assert guard_projections == []
 
 
 def _spec(C, T, x1, fix_point, reference=None):

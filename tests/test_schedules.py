@@ -16,18 +16,18 @@ from hfp.schedules import (
 )
 
 
+def _power_arrays(fam, n):
+    """alpha_1 .. alpha_n and beta_1 .. beta_n of a power family, as arrays."""
+    ns = np.arange(1, n + 1, dtype=float)
+    return fam.alpha0 * ns**-fam.p, fam.beta0 * ns**-fam.q
+
+
 class TestPowerFamily:
     def test_closed_form_matches_callables(self):
         s = power_schedule(0.8, 0.5, 0.6, 0.9)
         for n in (1, 10, 1000):
             assert s.alpha(n) == pytest.approx(0.8 * n**-0.5, abs=1e-12)
             assert s.beta(n) == pytest.approx(0.6 * n**-0.9, abs=1e-12)
-
-    def test_arrays_match_scalars(self):
-        fam = Schedule(1.0, 0.5, 1.0, 0.9)
-        arr = fam.alpha_array(100)
-        assert arr[0] == fam.alpha(1)
-        assert arr[99] == fam.alpha(100)
 
     def test_bad_parameters(self):
         with pytest.raises(UsageError):
@@ -134,7 +134,7 @@ class TestScalarRecursion:
 
     def test_array_inputs(self):
         fam = Schedule(1.0, 0.5, 0.0, 0.9)
-        final, traj = scalar_recursion(2.0, fam.alpha_array(100), fam.beta_array(100), 100)
+        final, traj = scalar_recursion(2.0, *_power_arrays(fam, 100), 100)
         ref, _ = scalar_recursion(2.0, fam.alpha, fam.beta, 100)
         assert final == ref
         assert len(traj) == 101
@@ -195,8 +195,9 @@ def test_scan_matches_sequential_loop(seed):
     p = rng.uniform(0.1, 1.0)
     fam = Schedule(rng.uniform(0.5, 1.0), p, rng.uniform(0.0, 1.0), p + rng.uniform(0.4, 1.0))
     n, x1 = 10**5, rng.uniform(0, 10)
-    final, traj = scalar_recursion(x1, fam.alpha_array(n), fam.beta_array(n), n)
-    ref = _sequential(x1, fam.alpha_array(n), fam.beta_array(n))
+    alphas, betas = _power_arrays(fam, n)
+    final, traj = scalar_recursion(x1, alphas, betas, n)
+    ref = _sequential(x1, alphas, betas)
     assert traj.dtype == np.float64 and traj.shape == (n + 1,)
     assert np.all(np.abs(traj - ref) <= 1e-12 * np.abs(ref))
     assert final == traj[-1]
@@ -220,5 +221,5 @@ def test_random_power_schedules_drive_recursion_down():
         p = rng.uniform(0.1, 1.0)
         fam = Schedule(rng.uniform(0.5, 1.0), p, rng.uniform(0.0, 1.0), p + rng.uniform(0.6, 1.0))
         n = 10**4
-        final, _ = scalar_recursion(rng.uniform(0, 10), fam.alpha_array(n), fam.beta_array(n), n)
+        final, _ = scalar_recursion(rng.uniform(0, 10), *_power_arrays(fam, n), n)
         assert final < 0.2
