@@ -225,6 +225,8 @@ class Intersection(ConvexSet):
             change = _norm(cur - prev)
             if change <= DYKSTRA_TOL:
                 return cur
+            if change != change:  # NaN, from a non-finite point: no cycle converges
+                raise DykstraError("Dykstra met a non-finite point", change)
         raise DykstraError(
             f"Dykstra did not converge within {DYKSTRA_MAX_CYCLES} cycles", change
         )
@@ -269,13 +271,29 @@ def distance(convex_set: ConvexSet, x) -> float:
     return convex_set._distance(convex_set._checked(x))
 
 
-def _ball_draw(dim: int, rng: np.random.Generator, radius: float) -> np.ndarray:
-    direction = rng.standard_normal(dim)
-    length = _norm(direction)
-    if length == 0.0:
-        direction = np.ones(dim)
-        length = _norm(direction)
-    return direction / length * radius * rng.random() ** (1.0 / dim)
+def _sample_rows(convex_set: ConvexSet, rng: np.random.Generator, n: int) -> np.ndarray:
+    """``n`` successive :func:`sample` draws from ``rng``, as ``(n, dim)`` rows.
+
+    Only the draws run per point, in the order one-point sampling makes them:
+    a normal direction, then a radius scale.  The arithmetic runs on whole
+    arrays and gives the same bits as a per-point ``_norm`` and scaling.
+    """
+    dim = convex_set.dim
+    if isinstance(convex_set, Box):
+        # rng.uniform(lower, upper), draw for draw, without its per-call checks
+        lower = convex_set.lower
+        return lower + (convex_set.upper - lower) * rng.random((n, dim))
+    N, S = np.empty((n, dim)), np.empty(n)
+    for i in range(n):
+        rng.standard_normal(dim, out=N[i])
+        S[i] = rng.random() ** (1.0 / dim)
+    L = np.sqrt(np.vecdot(N, N))
+    zero = L == 0.0
+    N[zero], L[zero] = 1.0, math.sqrt(dim)  # the direction of ones, and its _norm
+    if isinstance(convex_set, Ball):
+        return convex_set.center + N / L[:, None] * convex_set.radius * S[:, None]
+    raw = N / L[:, None] * SAMPLING_RADIUS * S[:, None]
+    return np.fromiter(map(convex_set._project, raw), np.dtype((float, (dim,))), n)
 
 
 def sample(convex_set: ConvexSet, rng: np.random.Generator) -> np.ndarray:
@@ -285,16 +303,9 @@ def sample(convex_set: ConvexSet, rng: np.random.Generator) -> np.ndarray:
     intersections) draw from the radius-10 ball about the origin and project
     onto the set, so sampling stays bounded and reproducible.
     """
-    if isinstance(convex_set, Box):
-        # rng.uniform(lower, upper), draw for draw, without its per-call checks
-        lower = convex_set.lower
-        return lower + (convex_set.upper - lower) * rng.random(convex_set.dim)
-    if isinstance(convex_set, Ball):
-        return convex_set.center + _ball_draw(convex_set.dim, rng, convex_set.radius)
-    raw = _ball_draw(convex_set.dim, rng, SAMPLING_RADIUS)
-    return convex_set._project(raw)
+    return _sample_rows(convex_set, rng, 1)[0]
 
 
 def sample_ambient(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Seeded sample from the radius-10 ball about the origin (not projected)."""
-    return _ball_draw(dim, rng, SAMPLING_RADIUS)
+    return _sample_rows(WholeSpace(dim), rng, 1)[0]

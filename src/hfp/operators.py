@@ -21,7 +21,7 @@ from .geometry import (
     NumericError,
     UsageError,
     _norm,
-    sample,
+    _sample_rows,
 )
 
 CERT_TOL = 1e-9
@@ -122,19 +122,21 @@ def power(T: MappingHandle, n: int, x: np.ndarray) -> np.ndarray:
 
 def _power(T: MappingHandle, n: int, x: np.ndarray, start: int = 0) -> np.ndarray:
     """Kernel of :func:`power`.  Raw iterates of a self-mapping are tested
-    for membership after every step; a non-finite one fails the test, on an
-    ``Intersection`` too, whose ``_distance`` is then NaN at once.  Its
+    for membership after every step; a non-finite one fails the test without
+    a numpy warning, on an ``Intersection`` too, whose ``_distance`` is then
+    NaN at once (a nested one's own Dykstra raises ``DykstraError``).  Its
     error counts steps from ``start + 1``, for a walk resumed at T^start x."""
     cf = T.meta.closed_form_power
     if cf is not None:
         return np.asarray(cf(n, x), dtype=float)
     y = x
-    for k in range(start + 1, start + n + 1):
-        y = np.asarray(T.evaluate(y), dtype=float)
-        if T.maps_into_domain and not T.domain._distance(y) <= MEMBERSHIP_TOL:
-            raise NumericError(
-                f"iterate of {T.name} left its domain at power step {k}"
-            )
+    with np.errstate(invalid="ignore"):  # an infinite iterate meets inf * 0
+        for k in range(start + 1, start + n + 1):
+            y = np.asarray(T.evaluate(y), dtype=float)
+            if T.maps_into_domain and not T.domain._distance(y) <= MEMBERSHIP_TOL:
+                raise NumericError(
+                    f"iterate of {T.name} left its domain at power step {k}"
+                )
     return y
 
 
@@ -152,15 +154,28 @@ def _powers(T: MappingHandle, ns, x: np.ndarray) -> dict:
 
 def _sample_pairs(domain: ConvexSet, samples: int, seed: int):
     """``samples`` seeded pairs of distinct points, as two ``(samples, dim)``
-    arrays whose rows are the pairs; each y gets 64 tries to differ from x."""
+    arrays whose rows are the pairs; each y gets 64 tries to differ from x.
+
+    One pass draws the rows x1, y1, x2, y2, ...; when a pair coincides, the
+    loop reads on through that stream, so the pairs are still its own."""
     if samples < 2:
         raise UsageError("need at least two samples")
     rng = np.random.default_rng(seed)
+    Z = _sample_rows(domain, rng, 2 * samples)
+    X, Y = Z[0::2], Z[1::2]
+    if (_norms(X - Y) > 0.0).all():
+        return X, Y
+
+    def stream():
+        yield from Z
+        while True:
+            yield from _sample_rows(domain, rng, 64)
+    rows = stream()
     X, Y = np.empty((2, samples, domain.dim))
     for i in range(samples):
-        x = X[i] = sample(domain, rng)
+        x = X[i] = next(rows)
         for _ in range(64):
-            y = Y[i] = sample(domain, rng)
+            y = Y[i] = next(rows)
             if _norm(x - y) > 0.0:
                 break
         else:

@@ -27,7 +27,7 @@ from .geometry import (
     ProblemDefinitionError,
     UsageError,
     WholeSpace,
-    sample,
+    _sample_rows,
 )
 from .schedules import Schedule
 from .solver import FullPower, ProblemSpec, StopRule, VARIANTS, reduce_variant
@@ -148,13 +148,12 @@ def _sampled(space, points: List[np.ndarray]) -> List[np.ndarray]:
     return points
 
 
-def _convex_subset(space, subset: ConvexSet, n_probes: int) -> List[np.ndarray]:
+def _convex_subset(space, subset: ConvexSet, n_probes: int) -> np.ndarray:
     dimension, seed = space
     _check_dim("fix_set", subset.dim, dimension)
     if n_probes < 1:
         raise ProblemFileSemanticError(f"fix_set.n_probes = {n_probes} is below 1")
-    rng = np.random.default_rng(seed)
-    return [sample(subset, rng) for _ in range(n_probes)]
+    return _sample_rows(subset, np.random.default_rng(seed), n_probes)
 
 
 _FIX_SETS = {

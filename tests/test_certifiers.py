@@ -26,13 +26,17 @@ from hfp.geometry import (
     SAMPLING_RADIUS,
     Ball,
     Box,
+    Halfspace,
+    Intersection,
     UsageError,
+    _sample_rows,
 )
 from hfp.operators import (
     CERT_TOL,
     Certificate,
     MappingHandle,
     OperatorMeta,
+    _norms,
     _sample_pairs,
     certify_combined_monotone,
     certify_lipschitz,
@@ -219,6 +223,67 @@ def fixture_cases():
         ("rotation", True, (rotation(ball, 0.7), zero_sequence(), 4)),
         ("averaged_rotation", True, (averaged_rotation(ball, 0.5, 0.3), zero_sequence(), 4)),
     ]
+
+
+# ------------------------------------------------------------------ sampling
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("dim", (1, 2, 3, 5, 8))
+@pytest.mark.parametrize("kind", ("wholespace",) + KINDS)
+def test_rows_are_successive_single_draws(kind, dim):
+    rng = np.random.default_rng([dim, (("wholespace",) + KINDS).index(kind)])
+    for _ in range(3):
+        C = random_set(kind, rng, dim)
+        seed = int(rng.integers(2**31))
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        rows = _sample_rows(C, ours, 40)
+        assert same_bits(rows, [ref_sample(C, theirs) for _ in range(40)])
+        assert same_bits(ours.random(), theirs.random())  # the streams end together
+
+
+class EveryOtherNormalZero:
+    """A generator whose odd-numbered normal draws are all zeros."""
+
+    def __init__(self, seed):
+        self.rng, self.calls = np.random.default_rng(seed), 0
+
+    def standard_normal(self, size, out=None):
+        self.calls += 1
+        z = self.rng.standard_normal(size) if self.calls % 2 == 0 else np.zeros(size)
+        if out is None:
+            return z
+        out[...] = z
+        return out
+
+    def random(self, size=None):
+        return self.rng.random(size)
+
+
+@pytest.mark.parametrize("dim", (1, 3))
+def test_zero_normal_draws_take_the_direction_of_ones(dim):
+    rng = np.random.default_rng(dim)
+    for kind in ("ball", "halfspace"):
+        C = random_set(kind, rng, dim)
+        theirs = EveryOtherNormalZero(4)
+        rows = _sample_rows(C, EveryOtherNormalZero(4), 6)
+        assert same_bits(rows, [ref_sample(C, theirs) for _ in range(6)])
+
+
+def test_coinciding_pairs_match_the_pair_loop():
+    # projections of the radius-10 ball pile up on the corners of this set
+    C = Intersection((Box(np.zeros(2), np.ones(2)), Halfspace(np.array([1.0, 2.0]), 2.0)))
+    seed, n = 5, 100
+    rows = _sample_rows(C, np.random.default_rng(seed), 2 * n)
+    assert (_norms(rows[0::2] - rows[1::2]) == 0.0).any()  # so the loop's retries ran
+    rng = np.random.default_rng(seed)
+    ref = [ref_pair(C, rng) for _ in range(n)]
+    X, Y = _sample_pairs(C, n, seed)
+    assert same_bits(X, [x for x, _ in ref]) and same_bits(Y, [y for _, y in ref])
 
 
 def assert_same(cert, ref):

@@ -88,16 +88,19 @@ def test_power_kernel_matches_and_power_checks_input():
 
 
 def test_raw_power_rejects_a_nonfinite_iterate():
-    # on an intersection, Dykstra's first cycle is NaN and decides at once;
-    # an inf iterate meets inf * 0 in the ball projection, which numpy warns of
+    # on an intersection, Dykstra's first cycle is NaN and decides at once; an
+    # inf iterate meets inf * 0 in a projection, which must not warn instead.
+    # A nested intersection's own Dykstra stops at its first NaN cycle.
     ball = Ball(np.zeros(3), 10.0)
-    C = Intersection((ball, Halfspace(np.array([1.0, 0.0, 0.0]), 1.0)))
-    for domain in (ball, C):
+    half = Halfspace(np.array([1.0, 0.0, 0.0]), 1.0)
+    plane = AffineHyperplane(np.array([1.0, 1.0, 0.0]), 0.0)
+    left = "left its domain at power step 1"
+    cases = [(domain, left) for domain in (ball, half, plane, Intersection((ball, half)))]
+    cases.append((_intersections(np.random.default_rng(3), 3)[2], "Dykstra met a non-finite point"))
+    for domain, message in cases:
         for value in (np.nan, np.inf):
             blowup = MappingHandle("blowup", lambda x: np.full(3, value), domain, True)
-            with np.errstate(invalid="ignore"), pytest.raises(
-                NumericError, match="left its domain at power step 1"
-            ):
+            with pytest.raises(NumericError, match=message):
                 power(blowup, 3, np.zeros(3))
 
 
