@@ -167,13 +167,20 @@ def averaged_rotation(domain: ConvexSet, lam: float, theta: float) -> MappingHan
     )
 
 
-def sahu_step() -> MappingHandle:
-    """Step map on [0,1]: x -> 0.5 on [0, 0.5], x -> 0 on (0.5, 1].
+def sahu_step(domain: ConvexSet | None = None) -> MappingHandle:
+    """Step map on C, by default [0,1]: x -> 0.5 for x <= 0.5, x -> 0 for x > 0.5.
 
     Discontinuous, nearly nonexpansive with a_1 = 0.5 and a_n = 0 after,
-    Fix(T) = {0.5}, and T^n is constant 0.5 for n >= 2.
+    Fix(T) = {0.5}, and T^n is constant 0.5 for n >= 2.  T maps the interval
+    C into itself iff C holds each value T takes on it: 0.5 if C meets
+    (-inf, 0.5], that is P_C(0.5) <= 0.5, and 0 if C meets (0.5, inf), that
+    is P_C(1) > 0.5.
     """
-    domain = Box(np.array([0.0]), np.array([1.0]))
+    domain = Box(np.zeros(1), np.ones(1)) if domain is None else domain
+    if domain.dim != 1:
+        raise ProblemDefinitionError("sahu_step requires dimension 1")
+    low, high = (domain._project(np.array([v]))[0] for v in (0.5, 1.0))
+    into = (low > 0.5 or domain.contains(0.5)) and (high <= 0.5 or domain.contains(0.0))
 
     def evaluate(x):
         x = np.asarray(x, dtype=float)
@@ -186,11 +193,8 @@ def sahu_step() -> MappingHandle:
         name="sahu_step",
         evaluate=evaluate,
         domain=domain,
-        maps_into_domain=True,
-        meta=OperatorMeta(
-            nearly_seq=sahu_sequence(0.5),
-            closed_form_power=closed_form,
-        ),
+        maps_into_domain=into,
+        meta=OperatorMeta(nearly_seq=sahu_sequence(0.5), closed_form_power=closed_form),
     )
 
 

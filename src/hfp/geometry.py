@@ -194,13 +194,17 @@ class AffineHyperplane(_Flat):
 class Intersection(ConvexSet):
     """Intersection of catalog sets, projected via Dykstra's algorithm.
 
-    Nonemptiness is caller-asserted; :meth:`feasible_point` probes it.
+    Nonemptiness is caller-asserted; :meth:`feasible_point` probes it.  A
+    member that is itself an intersection is replaced by its members, in
+    order, so Dykstra runs one loop over catalog sets.
     """
 
     members: tuple
 
     def __post_init__(self):
-        members = tuple(self.members)
+        members = tuple(
+            m for s in self.members for m in (s.members if isinstance(s, Intersection) else (s,))
+        )
         object.__setattr__(self, "members", members)
         if not members:
             raise ProblemDefinitionError("intersection needs at least one member set")

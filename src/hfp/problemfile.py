@@ -105,12 +105,6 @@ _SET_KINDS = {
 }
 
 
-def _sahu_step(domain: ConvexSet):
-    if domain.dim != 1:
-        raise ProblemFileSemanticError("sahu_step requires dimension 1")
-    return fixtures.sahu_step()
-
-
 # Builders look their factory up in ``fixtures`` when called, so a factory
 # patched there (as the traced benchmark does) is the one that runs.
 _FIXTURES = {
@@ -128,7 +122,7 @@ _FIXTURES = {
         (("lam", _REAL), ("theta", _REAL)),
         lambda C, lam, theta: fixtures.averaged_rotation(C, lam, theta),
     ),
-    "sahu_step": ((), _sahu_step),
+    "sahu_step": ((), lambda C: fixtures.sahu_step(C)),
 }
 
 

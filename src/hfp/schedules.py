@@ -67,7 +67,7 @@ def validate_schedule(s: Schedule, a_seq: Optional[NearnessSequence] = None) -> 
     docstring).  a_n / alpha_n -> 0 is a trend at n in {SCHEDULE_HORIZON/100,
     SCHEDULE_HORIZON/10, SCHEDULE_HORIZON}: it passes iff the horizon value is
     below ``TREND_TOL`` and the three values are nonincreasing; ``a_seq``
-    defaults to a_n = 0.
+    defaults to a_n = 0.  As alpha_n <= 1, it also decides a_n -> 0.
     """
     a = a_seq if a_seq is not None else zero_sequence()
     ratios = []

@@ -216,6 +216,8 @@ def validate_problem(p: ProblemSpec) -> List[str]:
     return violations
 
 
+# once per call, not per iteration: _step turns an overflow into a NumericError
+@np.errstate(over="ignore", invalid="ignore")
 def step(p: ProblemSpec, n: int, x: np.ndarray):
     """One iteration; returns x_{n+1}.
 
@@ -277,6 +279,7 @@ def _vi_residual(x: np.ndarray, p: ProblemSpec) -> float:
     return max(0.0, worst)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # see step
 def solve(
     p: ProblemSpec,
     stop: StopRule = StopRule(),
@@ -330,9 +333,11 @@ def solve(
         if stop.tol_fix is not None and fix_res <= stop.tol_fix:
             reason = "fix"
             break
+        # the VI is posed over Fix(T): its gap proves nothing off a fixed point
         if stop.tol_vi is not None and vi is not None and vi <= stop.tol_vi:
-            reason = "vi"
-            break
+            if fix_res <= FIX_POINT_TOL:
+                reason = "vi"
+                break
     return SolveReport(final_x=x, stop_reason=reason, iterations=n, trace=trace)
 
 

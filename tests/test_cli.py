@@ -233,6 +233,38 @@ class TestRun:
         assert rc == cli.EXIT_NUMERIC
         assert "numeric failure: iteration 1 produced [inf, inf]" in err
 
+    @pytest.mark.parametrize("flags", [[], ["-W", "error"]])
+    def test_overflow_gives_no_numpy_warning(self, tmp_path, flags):
+        # numpy's overflow warning must neither precede the message nor,
+        # under -W error, replace it with a traceback
+        overflowing = tmp_path / "overflowing.cfg"
+        overflowing.write_text(OVERFLOWING)
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "hfp.cli", "run", str(overflowing)],
+            cwd=tmp_path, env=child_env(), capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == cli.EXIT_NUMERIC
+        assert proc.stderr == (
+            "numeric failure: iteration 1 produced [inf, inf], not a finite point of R^2\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv, text",
+        [
+            (["compare", "{overflowing}", "full_power", "wang_xu"],
+             "numeric failure (full_power): iteration 1 produced [inf, inf]"),
+            (["sweep", "{overflowing}", "--p-values", "0.5"],
+             "numeric failure at (p=0.5, q=0.9): iteration 1 produced [inf, inf]"),
+        ],
+    )
+    def test_compare_and_sweep_report_a_numeric_failure(self, tmp_path, capsys, argv, text):
+        overflowing = tmp_path / "overflowing.cfg"
+        overflowing.write_text(OVERFLOWING)
+        argv = [a.format(overflowing=overflowing) for a in argv]
+        assert cli.main([*argv, "--max-iters", "5"]) == cli.EXIT_NUMERIC
+        assert capsys.readouterr().err.startswith(text)
+        assert list(tmp_path.iterdir()) == [overflowing]
+
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_t_must_be_nearly_nonexpansive(self, expanding, tmp_path, command):
         # T = 3x declares L = 3 and no nearness sequence; wang_xu applies T once
@@ -310,6 +342,12 @@ class TestWriteTrace:
 
 
 class TestCompare:
+    def test_compare_reports_a_variant_violation(self, minnorm, capsys):
+        argv = ["compare", minnorm, "full_power", "wang_xu", "--set", "problem.mu=3"]
+        assert cli.main(argv) == cli.EXIT_SEMANTIC
+        out = capsys.readouterr().out
+        assert out == "violation (full_power): mu >= 2*eta/L^2 (mu=3.0, bound=2.0)\n"
+
     def test_equivalent_variants_bit_identical(self, minnorm, tmp_path, capsys):
         # S = identity and T idempotent, so all three coincide exactly
         base = tmp_path / "cmp.csv"
@@ -437,8 +475,32 @@ class TestSelfMappings:
         assert "violation: FullPower mode needs T^n, but T = contraction(0.5) is not a" in out
         assert not (tmp_path / "off_center.trace.csv").exists()
 
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_sahu_step_takes_the_problem_domain(self, tmp_path, capsys, command):
+        # on C = [2, 3] T is 0 everywhere, outside C
+        text = (PROBLEMS_DIR / "sahu_step.cfg").read_text()
+        text = text.replace("lower = 0\nupper = 1", "lower = 2\nupper = 3")
+        text = text.replace("[fix_set]\nkind = singleton\npoint = 0.5\n", "")
+        cfg = tmp_path / "sahu.cfg"
+        cfg.write_text(text)
+        argv = [command, str(cfg), "--set", "problem.x1=2.5", "--set", "problem.reference=2.5"]
+        budget = ["--max-iters", "5"] if command == "run" else []  # validate takes no budget
+        assert cli.main([*argv, *budget]) == cli.EXIT_SEMANTIC
+        out = capsys.readouterr().out
+        assert "violation: FullPower mode needs T^n, but T = sahu_step is not a self-mapping" in out
+        assert list(tmp_path.iterdir()) == [cfg]
+
 
 class TestSweep:
+    def test_sweep_rejects_a_point_that_fails_the_problem(self, minnorm, tmp_path):
+        # p = 1.5 fails the schedule; p = 0.5 passes it and fails validate_problem
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", minnorm, "--p-values", "0.5", "1.5", "--set", "problem.mu=3"]
+        assert cli.main([*argv, "--out", str(out), "--quiet"]) == cli.EXIT_OK
+        assert out.read_text().splitlines()[1] == (
+            "0.5,0.9,rejected: mu >= 2*eta/L^2 (mu=3.0, bound=2.0),,"
+        )
+
     def test_grid_with_rejection(self, minnorm, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
         code = cli.main(

@@ -141,6 +141,27 @@ class TestDykstra:
         for member in inter.members:
             assert member.contains(p, tol=1e-6)
 
+    def test_nested_intersections_are_flattened(self):
+        # one Dykstra loop over catalog sets, in order: the same bits as the flat set
+        rng = np.random.default_rng(7)
+        ball, half = Ball(np.zeros(7), 10.0), Halfspace(rng.standard_normal(7), 1.0)
+        box = Box(np.full(7, -4.0), np.full(7, 4.0))
+        flat = Intersection((ball, half, box))
+        nested = Intersection((Intersection((ball, half)), box))
+        assert nested.members == (ball, half, box)
+        assert Intersection((Intersection((Intersection((ball,)), half)), box)).members == (
+            ball, half, box,
+        )
+        for _ in range(20):
+            x = rng.standard_normal(7) * 8.0
+            assert np.array_equal(nested._project(x), flat._project(x))
+            assert nested._distance(x) == flat._distance(x)
+
+    def test_nonfinite_point_stops_at_the_first_cycle(self):
+        inter = Intersection((Ball(np.zeros(2), 1.0), Halfspace(np.array([1.0, 0.0]), 0.5)))
+        with pytest.raises(DykstraError, match="Dykstra met a non-finite point"):
+            inter._project(np.array([np.nan, 0.0]))
+
     def test_cycle_cap(self, monkeypatch):
         monkeypatch.setattr(geometry, "DYKSTRA_TOL", 1e-30)
         monkeypatch.setattr(geometry, "DYKSTRA_MAX_CYCLES", 3)

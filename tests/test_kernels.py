@@ -90,17 +90,15 @@ def test_power_kernel_matches_and_power_checks_input():
 def test_raw_power_rejects_a_nonfinite_iterate():
     # on an intersection, Dykstra's first cycle is NaN and decides at once; an
     # inf iterate meets inf * 0 in a projection, which must not warn instead.
-    # A nested intersection's own Dykstra stops at its first NaN cycle.
+    # A nested intersection is flattened, so it decides at once too.
     ball = Ball(np.zeros(3), 10.0)
     half = Halfspace(np.array([1.0, 0.0, 0.0]), 1.0)
     plane = AffineHyperplane(np.array([1.0, 1.0, 0.0]), 0.0)
-    left = "left its domain at power step 1"
-    cases = [(domain, left) for domain in (ball, half, plane, Intersection((ball, half)))]
-    cases.append((_intersections(np.random.default_rng(3), 3)[2], "Dykstra met a non-finite point"))
-    for domain, message in cases:
+    nested = _intersections(np.random.default_rng(3), 3)[2]
+    for domain in (ball, half, plane, Intersection((ball, half)), nested):
         for value in (np.nan, np.inf):
             blowup = MappingHandle("blowup", lambda x: np.full(3, value), domain, True)
-            with pytest.raises(NumericError, match=message):
+            with pytest.raises(NumericError, match="left its domain at power step 1"):
                 power(blowup, 3, np.zeros(3))
 
 

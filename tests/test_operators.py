@@ -17,7 +17,9 @@ from hfp.fixtures import (
     sahu_step,
     zero_map,
 )
-from hfp.geometry import Ball, Box, NumericError, ProblemDefinitionError, UsageError, norm
+from hfp.geometry import (
+    Ball, Box, NumericError, ProblemDefinitionError, UsageError, WholeSpace, norm,
+)
 from hfp.operators import (
     MappingHandle,
     NearnessSequence,
@@ -31,8 +33,19 @@ from hfp.operators import (
     power,
     zero_sequence,
 )
+from hfp.schedules import Schedule, validate_schedule
+from hfp.solver import FullPower, ProblemSpec, validate_problem
 
 DOMAIN = default_test_domain()
+SCHEDULE = Schedule(1.0, 0.5, 1.0, 0.9)
+
+
+def _spec(T: MappingHandle) -> ProblemSpec:
+    """A valid problem on DOMAIN but for its T."""
+    return ProblemSpec(
+        C=DOMAIN, T=T, S=identity_map(DOMAIN), V=zero_map(DOMAIN), F=identity_map(DOMAIN),
+        rho=0.0, mu=1.0, schedule=SCHEDULE, mode=FullPower(), x1=np.zeros(2),
+    )
 
 
 class TestNearnessSequence:
@@ -45,17 +58,54 @@ class TestNearnessSequence:
         assert seq(1) == 0.5
         assert seq(2) == 0.0
 
+    # a_n -> 0 is decided by validate_schedule's a_n / alpha_n -> 0, which
+    # implies it as alpha_n <= 1; construction probes nothing
     def test_nondecaying_rejected(self):
-        with pytest.raises(UsageError):
-            NearnessSequence(lambda n: 1.0)
+        failures = validate_schedule(SCHEDULE, NearnessSequence(lambda n: 1.0))
+        assert failures == ["a_over_alpha trend check fails (value 1e+03 at horizon)"]
 
     def test_increasing_rejected(self):
-        with pytest.raises(UsageError):
-            NearnessSequence(lambda n: 1e-9 * n)
+        failures = validate_schedule(SCHEDULE, NearnessSequence(lambda n: 1e-9 * n))
+        assert [f.split(" (")[0] for f in failures] == ["a_over_alpha trend check fails"]
 
     def test_negative_rejected(self):
-        with pytest.raises(UsageError):
-            NearnessSequence(lambda n: -1.0 / n)
+        seq = NearnessSequence(lambda n: -1.0 / n)
+        with pytest.raises(UsageError, match=r"^a\(1\) = -1.0 is not a nonnegative real$"):
+            seq(1)
+        with pytest.raises(UsageError, match=r"^a\(10000\) = -0.0001 is not"):
+            validate_schedule(SCHEDULE, seq)
+        T = dataclasses.replace(identity_map(DOMAIN), meta=OperatorMeta(nearly_seq=seq))
+        violations = validate_problem(_spec(T))
+        assert violations == ["schedule: a(10000) = -0.0001 is not a nonnegative real"]
+
+    @pytest.mark.parametrize(
+        "a",
+        [lambda n: 10.0 / n, lambda n: 1.0 / n, lambda n: 0.1 / n, lambda n: n**-0.9,
+         lambda n: (1 + (-1) ** n) / n],
+        ids=["10/n", "1/n", "0.1/n", "n^-0.9", "(1+(-1)^n)/n"],
+    )
+    def test_decaying_sequences_pass_at_half_and_fail_at_one(self, a):
+        # at p = 1, a_n / alpha_n does not vanish
+        seq = NearnessSequence(a)
+        assert validate_schedule(SCHEDULE, seq) == []
+        failures = validate_schedule(dataclasses.replace(SCHEDULE, p=1.0, q=1.1), seq)
+        assert [f.split(" (")[0] for f in failures] == ["a_over_alpha trend check fails"]
+
+    def test_a_small_constant_is_rejected_by_the_schedule(self):
+        failures = validate_schedule(SCHEDULE, NearnessSequence(lambda n: 1e-7))
+        assert [f.split(" (")[0] for f in failures] == ["a_over_alpha trend check fails"]
+
+    @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+    def test_a_bad_value_is_an_error_where_it_is_read(self, bad):
+        # bad only at n = 10^4, the first index validate_schedule reads
+        seq = NearnessSequence(lambda n: bad if n == 10**4 else 1.0 / n)
+        assert seq(4**5) == 1.0 / 4**5
+        with pytest.raises(UsageError, match=rf"^a\(10000\) = {bad!r} is not a nonnegative real$"):
+            validate_schedule(SCHEDULE, seq)
+        T = dataclasses.replace(identity_map(DOMAIN), meta=OperatorMeta(nearly_seq=seq))
+        assert validate_problem(_spec(T)) == [
+            f"schedule: a(10000) = {bad!r} is not a nonnegative real"
+        ]
 
 
 class TestPower:
@@ -298,3 +348,20 @@ def test_self_mapping_decided_from_the_domain(domain, holds_origin):
         assert contraction(domain, k).maps_into_domain == holds_origin
     assert contraction(domain, 1.0).maps_into_domain  # the identity
     assert not contraction(domain, 1.5).maps_into_domain
+
+
+@pytest.mark.parametrize(
+    "domain, holds",
+    [
+        (Box(np.zeros(1), np.ones(1)), True),
+        (Box(np.array([0.2]), np.array([0.5])), True),
+        (WholeSpace(1), True),
+        (Box(np.array([2.0]), np.array([3.0])), False),  # T sends all of C to 0
+        (Box(np.array([0.6]), np.array([1.0])), False),
+        (Box(np.ones(1), np.ones(1)), False),
+    ],
+)
+def test_sahu_step_self_mapping_decided_from_the_domain(domain, holds):
+    """C holds 0.5 if it meets (-inf, 0.5], and 0 if it meets (0.5, inf)."""
+    T = sahu_step(domain)
+    assert T.domain is domain and T.maps_into_domain == holds

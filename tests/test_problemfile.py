@@ -395,3 +395,13 @@ def test_readme_documents_every_problem_file_key():
     missing = sorted(f"`{name}`" for name in names if f"`{name}`" not in docs)
     missing += [f"`[{s}]`" for s in problemfile._SECTIONS if f"`[{s}]`" not in docs]
     assert not missing, f"README's problem-file section does not document {missing}"
+
+
+def test_readme_quickstart_runs(capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme[readme.index("## Library quickstart"):]
+    start = section.index("```python\n") + len("```python\n")
+    code = section[start:section.index("```", start)]
+    exec(compile(code, "README.md quickstart", "exec"), {})
+    point = np.array(capsys.readouterr().out.strip().strip("[]").split(), dtype=float)
+    assert point.shape == (2,) and np.abs(point - 1.0).max() <= 1e-2

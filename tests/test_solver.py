@@ -20,6 +20,8 @@ from hfp.geometry import (
     AffineHyperplane,
     Ball,
     Box,
+    Halfspace,
+    Intersection,
     NumericError,
     ProblemDefinitionError,
     UsageError,
@@ -244,9 +246,8 @@ class TestSolve:
         with pytest.raises(NumericError, match="power budget exhausted: 101 raw evaluations exceed 100;"):
             step(spec, 101, spec.x1)
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_nonfinite_iterate_raises_numeric_error(self):
+        # with no numpy warning: pytest turns warnings into errors
         # a valid problem whose first step overflows: V x1 = 10 * 1e308
         C = WholeSpace(2)
         spec = make_spec(
@@ -262,6 +263,34 @@ class TestSolve:
         assert validate_problem(spec) == []
         with pytest.raises(NumericError, match="not a finite point"):
             solve(spec, budget_stop(10**4))
+        with pytest.raises(NumericError, match="iteration 1 produced"):
+            step(spec, 1, spec.x1)
+
+    def test_vi_stop_needs_an_approximate_fixed_point(self):
+        # the README quickstart: alpha_1 = 1 gives x_2 = P_C[z - z] = 0, where
+        # rho V = mu F and the VI gap is 0, but T does not fix 0
+        spec = make_spec(fix_points=[[0.0, 2.0], [1.0, 1.0], [2.0, 0.0]])
+        report = solve(spec, StopRule(max_iters=200))
+        first = report.trace[0]
+        assert (first.vi_residual, first.fix_residual) == (0.0, math.sqrt(2.0))
+        assert report.stop_reason == "budget"
+
+    def test_vi_stop_at_a_fixed_point(self):
+        # T = I fixes every point, and x_2 = P_C(rho b) solves the VI
+        C = Ball(np.zeros(2), 10.0)
+        spec = make_spec(
+            T=identity_map(C), V=constant_map(C, [1.0, 2.0]), rho=0.5,
+            fix_points=[[0.0, 0.0], [3.0, -1.0], [-2.0, 4.0]],
+        )
+        report = solve(spec, StopRule(tol_step=None, tol_fix=None))
+        assert (report.stop_reason, report.iterations) == ("vi", 1)
+        assert report.final_x.tolist() == [0.5, 1.0]
+
+    def test_empty_intersection_is_a_violation(self):
+        C = Intersection((Ball(np.zeros(2), 1.0), Halfspace(np.array([1.0, 0.0]), -5.0)))
+        violations = validate_problem(make_spec(C=C, T=identity_map(C), x1=np.zeros(2)))
+        assert "intersection feasibility probe failed: probe point is not within every " \
+            "member set" in violations
 
     @pytest.mark.parametrize(
         "field, value",
