@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .geometry import AffineHyperplane, Ball, Box, ConvexSet, ProblemDefinitionError, vector
+from .geometry import AffineHyperplane, Box, ConvexSet, ProblemDefinitionError, vector
 from .operators import MappingHandle, NearnessSequence, OperatorMeta, zero_sequence
 
 
@@ -201,7 +201,3 @@ def sahu_step(domain: ConvexSet | None = None) -> MappingHandle:
 def sahu_sequence(a1: float) -> NearnessSequence:
     """Nearness sequence (a1, 0, 0, ...) used by the step-map fixture."""
     return NearnessSequence(lambda n: a1 if n == 1 else 0.0)
-
-
-def default_test_domain() -> ConvexSet:
-    return Ball(np.zeros(2), 10.0)

@@ -308,8 +308,3 @@ def sample(convex_set: ConvexSet, rng: np.random.Generator) -> np.ndarray:
     onto the set, so sampling stays bounded and reproducible.
     """
     return _sample_rows(convex_set, rng, 1)[0]
-
-
-def sample_ambient(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Seeded sample from the radius-10 ball about the origin (not projected)."""
-    return _sample_rows(WholeSpace(dim), rng, 1)[0]

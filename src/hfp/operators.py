@@ -84,9 +84,6 @@ class MappingHandle:
     maps_into_domain: bool
     meta: OperatorMeta = OperatorMeta()
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self.evaluate(x)
-
 
 @dataclass(frozen=True)
 class Certificate:

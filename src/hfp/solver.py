@@ -81,14 +81,9 @@ class ProblemSpec:
         if self.reference is not None:
             object.__setattr__(self, "reference", self.C._checked(self.reference))
         if self.fix_points is not None:
-            try:
-                points = np.array(self.fix_points, dtype=float)
-            except (TypeError, ValueError):  # ragged or non-numeric rows
-                points = np.empty(0)
-            if points.shape[1:] != (self.C.dim,) or not np.isfinite(points).all():
-                # row by row: the first bad row's own error; a 1-d C takes scalar rows
-                rows = [self.C._checked(row) for row in self.fix_points]
-                points = np.array(rows).reshape(-1, self.C.dim)
+            # row by row: the first bad row's own error; a 1-d C takes scalar rows
+            rows = [self.C._checked(row) for row in self.fix_points]
+            points = np.array(rows).reshape(-1, self.C.dim)
             if not len(points):
                 raise UsageError("fix_points must hold at least one point")
             object.__setattr__(self, "fix_points", points)
@@ -187,10 +182,8 @@ def validate_problem(p: ProblemSpec) -> List[str]:
     if lip_S is None or lip_S > 1.0 or not p.S.maps_into_domain:
         violations.append(f"S = {p.S.name} is not a declared nonexpansive self-mapping")
 
-    if isinstance(p.mode, FullPower) and not p.T.maps_into_domain:
-        violations.append(
-            f"FullPower mode needs T^n, but T = {p.T.name} is not a self-mapping"
-        )
+    if not p.T.maps_into_domain:
+        violations.append(f"T = {p.T.name} is not a self-mapping of C")
 
     if isinstance(p.C, Intersection):
         try:
@@ -240,15 +233,13 @@ def _step(p, n, x, alpha, beta, raw_spent) -> np.ndarray:
         y = x
     else:
         y = beta * np.asarray(p.S.evaluate(x), dtype=float) + (1.0 - beta) * x
-    if isinstance(p.mode, Single):
-        z = np.asarray(p.T.evaluate(y), dtype=float)
-    else:
-        if raw_spent > POWER_BUDGET and p.T.meta.closed_form_power is None:
-            raise NumericError(
-                f"power budget exhausted: {raw_spent} raw evaluations exceed "
-                f"{POWER_BUDGET}; supply a closed-form power or lower max_iters"
-            )
-        z = _power(p.T, n, y)
+    full = isinstance(p.mode, FullPower)
+    if full and raw_spent > POWER_BUDGET and p.T.meta.closed_form_power is None:
+        raise NumericError(
+            f"power budget exhausted: {raw_spent} raw evaluations exceed "
+            f"{POWER_BUDGET}; supply a closed-form power or lower max_iters"
+        )
+    z = _power(p.T, n if full else 1, y)
     if alpha == 0.0:
         t = z
     else:
@@ -369,6 +360,9 @@ def check_power_regularity(
     if len(probes) == 0:
         raise UsageError("power regularity needs at least one probe point")
     ns = _trend_probes(horizon)
+    for n in ns:
+        if s.alpha(n) == 0.0:
+            raise UsageError(f"alpha({n}) = 0 makes the ratio conditions undefined")
     report = RegularityReport(horizon=horizon)
     for x in probes:
         x = T.domain._checked(x)

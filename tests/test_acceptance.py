@@ -24,7 +24,7 @@ from hfp.fixtures import (
     sahu_step,
     zero_map,
 )
-from hfp.geometry import Ball, norm, project, sample, sample_ambient
+from hfp.geometry import Ball, WholeSpace, norm, project, sample
 from hfp.operators import (
     certify_combined_monotone,
     certify_nearly_nonexpansive,
@@ -68,8 +68,8 @@ def test_01_projection_law():
     for kind in SET_KINDS:
         for _ in range(per_kind):
             s = random_set(kind, rng)
-            x = sample_ambient(s.dim, rng)
-            x2 = sample_ambient(s.dim, rng)
+            x = sample(WholeSpace(s.dim), rng)
+            x2 = sample(WholeSpace(s.dim), rng)
             y = sample(s, rng)
             px, px2 = project(s, x), project(s, x2)
             worst_char = max(worst_char, float(np.dot(x - px, y - px)))
@@ -320,4 +320,51 @@ def test_10_cli_determinism(tmp_path):
         "criterion 10 cli determinism",
         runs[0] == runs[1] and sweeps[0] == sweeps[1] and len(runs[0]) > 0,
         "run and sweep outputs byte-identical across repeat invocations",
+    )
+
+
+def test_11_quadratic_minimisation(tmp_path):
+    """quadmin.cfg: min (1/2) mu <D x, x> - rho <b, x> over H = {x1 + x2 = 2},
+    with T = P_H, S = I, V = b = (1, 1), rho = 1, F = D = diag(2, 1),
+    mu = 1/4, C = R^2 and alpha_n = n^-1/2.
+
+    The VI over H asks b - mu D x* to be normal to H, so 1 - x1/2 = 1 - x2/4
+    and x* = (2/3, 4/3), where b - mu D x* = (2/3, 2/3).  T^n = P_H, so with
+    p_n = P_H x_n the iteration reads x_{n+1} = p_n + alpha_n (b - mu D p_n).
+    On H, D scales the direction (1, -1) by 3/2, hence
+    p_{n+1} - x* = (1 - 1.5 mu alpha_n)(p_n - x*), and the product over n
+    reaches about 2e-82 by n = 62,737.  From then on, to rounding,
+    x_{n+1} = x* + alpha_n (2/3, 2/3), so step n moves by
+    (alpha_{n-1} - alpha_n) |(2/3, 2/3)| and ``step`` (tol 3e-8) first fires at
+    the first n where that is <= 3e-8.  The error left there is
+    alpha_N 2 sqrt(2) / 3, about 3.8e-3: a step stop says nothing of accuracy.
+
+    T = P_H is idempotent and S = I, so every variant runs the same iteration;
+    C = R^2 lets marino_xu apply too.
+    """
+    built = build_problem(parse_problem_file(str(PROBLEMS_DIR / "quadmin.cfg")))
+    t0 = time.perf_counter()
+    result = solve(built.spec, built.stop)
+    elapsed = time.perf_counter() - t0
+
+    x_star, w = np.array([2 / 3, 4 / 3]), np.array([2 / 3, 2 / 3])
+    moved = lambda n: ((n - 1) ** -0.5 - n**-0.5) * norm(w)  # noqa: E731
+    hand_n = next(n for n in range(2, 10**5) if moved(n) <= 3e-8)
+    error = norm(result.final_x - (x_star + hand_n**-0.5 * w))
+
+    variants = ("full_power", "wang_xu", "ceng", "marino_xu", "sahu")
+    argv = ["compare", str(PROBLEMS_DIR / "quadmin.cfg"), *variants, "--max-iters", "2000"]
+    code = cli.main([*argv, "--trace-out", str(tmp_path / "q.csv"), "--quiet"])
+    traces = {(tmp_path / f"q.{v}.csv").read_bytes() for v in variants}
+
+    report(
+        "criterion 11 quadratic minimisation",
+        result.stop_reason == "step"
+        and result.iterations == hand_n == 62737
+        and error <= 1e-12
+        and elapsed < 30
+        and code == cli.EXIT_OK
+        and len(traces) == 1,
+        f"stop {result.stop_reason} at {result.iterations} (hand {hand_n}), "
+        f"|x - formula| {error:.1e}, {elapsed:.2f}s, {len(traces)} distinct compare trace(s)",
     )

@@ -89,9 +89,10 @@ def expanding(tmp_path):
 
 
 def hfp_bench(*argv, cwd):
-    """``hfp-bench`` in a fresh interpreter: (exit code, stdout, stderr)."""
+    """``hfp-bench`` in a fresh interpreter, in development mode with warnings
+    as errors, so an unclosed file fails too: (exit code, stdout, stderr)."""
     proc = subprocess.run(
-        [sys.executable, "-m", "hfp.cli", *map(str, argv)],
+        [sys.executable, "-X", "dev", "-W", "error", "-m", "hfp.cli", *map(str, argv)],
         cwd=cwd, env=child_env(), capture_output=True, text=True, timeout=120,
     )
     assert "Traceback" not in proc.stderr
@@ -223,7 +224,7 @@ class TestRun:
     def test_full_power_needs_a_self_mapping(self, expanding, tmp_path, command):
         rc, out, _ = hfp_bench(command, expanding, cwd=tmp_path)
         assert rc == cli.EXIT_SEMANTIC
-        assert "violation: FullPower mode needs T^n" in out
+        assert "violation: T = contraction(3.0) is not a self-mapping of C" in out
 
     def test_nonfinite_iterate_is_a_numeric_failure(self, tmp_path):
         overflowing = tmp_path / "overflowing.cfg"
@@ -472,23 +473,38 @@ class TestSelfMappings:
         cfg.write_text(OFF_CENTER)
         rc, out, _ = hfp_bench(command, cfg, cwd=tmp_path)
         assert rc == cli.EXIT_SEMANTIC
-        assert "violation: FullPower mode needs T^n, but T = contraction(0.5) is not a" in out
+        assert "violation: T = contraction(0.5) is not a self-mapping of C" in out
         assert not (tmp_path / "off_center.trace.csv").exists()
 
-    @pytest.mark.parametrize("command", ["validate", "run"])
-    def test_sahu_step_takes_the_problem_domain(self, tmp_path, capsys, command):
-        # on C = [2, 3] T is 0 everywhere, outside C
+    @staticmethod
+    def sahu_off_its_domain(tmp_path, capsys, command, *overrides):
+        """``command`` on sahu_step.cfg moved to C = [2, 3], where T is 0
+        everywhere, outside C; returns the exit code and stdout."""
         text = (PROBLEMS_DIR / "sahu_step.cfg").read_text()
         text = text.replace("lower = 0\nupper = 1", "lower = 2\nupper = 3")
         text = text.replace("[fix_set]\nkind = singleton\npoint = 0.5\n", "")
         cfg = tmp_path / "sahu.cfg"
         cfg.write_text(text)
         argv = [command, str(cfg), "--set", "problem.x1=2.5", "--set", "problem.reference=2.5"]
+        for item in overrides:
+            argv += ["--set", item]
         budget = ["--max-iters", "5"] if command == "run" else []  # validate takes no budget
-        assert cli.main([*argv, *budget]) == cli.EXIT_SEMANTIC
-        out = capsys.readouterr().out
-        assert "violation: FullPower mode needs T^n, but T = sahu_step is not a self-mapping" in out
-        assert list(tmp_path.iterdir()) == [cfg]
+        rc = cli.main([*argv, *budget])
+        assert list(tmp_path.iterdir()) == [cfg]  # no trace
+        return rc, capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_sahu_step_takes_the_problem_domain(self, tmp_path, capsys, command):
+        rc, out = self.sahu_off_its_domain(tmp_path, capsys, command)
+        assert rc == cli.EXIT_SEMANTIC
+        assert "violation: T = sahu_step is not a self-mapping of C" in out
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_single_mode_needs_a_self_mapping_too(self, tmp_path, capsys, command):
+        # run used to solve it and stop at x = 2.0, fix_residual 2.0 (exit 3)
+        rc, out = self.sahu_off_its_domain(tmp_path, capsys, command, "problem.variant=wang_xu")
+        assert rc == cli.EXIT_SEMANTIC
+        assert "violation: T = sahu_step is not a self-mapping of C" in out
 
 
 class TestSweep:
@@ -500,6 +516,12 @@ class TestSweep:
         assert out.read_text().splitlines()[1] == (
             "0.5,0.9,rejected: mu >= 2*eta/L^2 (mu=3.0, bound=2.0),,"
         )
+
+    def test_sweep_names_its_output_unless_quiet(self, minnorm, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", minnorm, "--p-values", "0.5", "--max-iters", "10", "--out", str(out)]
+        assert cli.main(argv) == cli.EXIT_OK
+        assert capsys.readouterr().out == f"sweep results : {out}\n"
 
     def test_grid_with_rejection(self, minnorm, tmp_path, capsys):
         out = tmp_path / "sweep.csv"

@@ -20,7 +20,6 @@ from hfp.geometry import (
     norm,
     project,
     sample,
-    sample_ambient,
     vector,
 )
 from conftest import SET_KINDS, random_set
@@ -72,8 +71,8 @@ def test_projection_characterization_and_nonexpansiveness(kind):
     rng = np.random.default_rng(11)
     for _ in range(50):
         s = random_set(kind, rng)
-        x = sample_ambient(s.dim, rng)
-        x2 = sample_ambient(s.dim, rng)
+        x = sample(WholeSpace(s.dim), rng)
+        x2 = sample(WholeSpace(s.dim), rng)
         y = sample(s, rng)
         px = project(s, x)
         px2 = project(s, x2)
@@ -214,3 +213,17 @@ def test_box_sample_is_rng_uniform_draw_for_draw(dim):
         for _ in range(5):
             assert np.array_equal(sample(box, ours), theirs.uniform(box.lower, box.upper))
         assert ours.random() == theirs.random()  # the streams stay in step
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: WholeSpace(0), "dimension must be positive"),
+        (lambda: Box(np.zeros(2), np.ones(3)), "box bounds must share a dimension"),
+        (lambda: Intersection(()), "intersection needs at least one member set"),
+    ],
+    ids=["wholespace_dim_0", "box_bound_lengths", "empty_intersection"],
+)
+def test_set_rejects_a_bad_definition(build, message):
+    with pytest.raises(ProblemDefinitionError, match=f"^{message}$"):
+        build()

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from hfp.fixtures import (
     averaged_rotation,
     constant_map,
     contraction,
-    default_test_domain,
     identity_map,
     linear_map,
     proj_affine,
@@ -36,7 +36,7 @@ from hfp.operators import (
 from hfp.schedules import Schedule, validate_schedule
 from hfp.solver import FullPower, ProblemSpec, validate_problem
 
-DOMAIN = default_test_domain()
+DOMAIN = Ball(np.zeros(2), 10.0)
 SCHEDULE = Schedule(1.0, 0.5, 1.0, 0.9)
 
 
@@ -365,3 +365,54 @@ def test_sahu_step_self_mapping_decided_from_the_domain(domain, holds):
     """C holds 0.5 if it meets (-inf, 0.5], and 0 if it meets (0.5, inf)."""
     T = sahu_step(domain)
     assert T.domain is domain and T.maps_into_domain == holds
+
+
+PLANE = Box(np.zeros(1), np.ones(1))  # a 1-d domain, for the planar fixtures
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: contraction(DOMAIN, -0.5), "scaling factor must be nonnegative"),
+        (lambda: linear_map(DOMAIN, [[1, 0, 0], [0, 1, 0]]),
+         "matrix must be square and match the domain"),
+        (lambda: linear_map(DOMAIN, [[1, 1], [0, 1]]), "linear fixture requires a symmetric matrix"),
+        (lambda: linear_map(DOMAIN, [[-1, 0], [0, -2]]),
+         "linear fixture requires a positive top eigenvalue"),
+        (lambda: rotation(PLANE, 0.3), "rotation is a planar fixture (dim 2)"),
+        (lambda: averaged_rotation(PLANE, 0.5, 0.3), "averaged_rotation is a planar fixture (dim 2)"),
+        (lambda: averaged_rotation(DOMAIN, 1.0, 0.3), "averaging weight must lie in (0, 1)"),
+        (lambda: averaged_rotation(DOMAIN, 0.0, 0.3), "averaging weight must lie in (0, 1)"),
+    ],
+    ids=["negative_k", "non_square", "non_symmetric", "no_positive_eigenvalue",
+         "rotation_dim", "averaged_rotation_dim", "lam_one", "lam_zero"],
+)
+def test_fixture_rejects_bad_parameters(build, message):
+    with pytest.raises(ProblemDefinitionError, match=f"^{re.escape(message)}$"):
+        build()
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: OperatorMeta(lipschitz=-1.0), "a Lipschitz constant must be nonnegative"),
+        (lambda: OperatorMeta(lipschitz=1.0, strong_monotone=0.0),
+         "a strong-monotonicity modulus must be positive"),
+        (lambda: certify_lipschitz(identity_map(DOMAIN), -1.0),
+         "claimed Lipschitz constant must be nonnegative"),
+        (lambda: certify_strong_monotone(identity_map(DOMAIN), 0.0), "claimed modulus must be positive"),
+        (lambda: certify_nearly_nonexpansive(identity_map(DOMAIN), zero_sequence(), 0),
+         "n_max must be at least 1"),
+        (lambda: certify_combined_monotone(identity_map(DOMAIN), sahu_step(), 0.0, 1.0),
+         "V must declare a Lipschitz constant"),
+        (lambda: nu_constant(1.0, 0.0, 1.0), "eta and L must be positive"),
+        (lambda: nu_constant(1.0, 1.0, 0.0), "eta and L must be positive"),
+        (lambda: certify_yamada_contraction(rotation(DOMAIN, 0.3), 0.5, 1.0),
+         "F must declare Lipschitz and strong-monotonicity constants"),
+    ],
+    ids=["negative_lipschitz", "zero_modulus", "claimed_lipschitz", "claimed_modulus", "n_max",
+         "combined_v_without_gamma", "nu_eta", "nu_lipschitz", "yamada_f_without_constants"],
+)
+def test_operator_rejects_bad_arguments(call, message):
+    with pytest.raises(UsageError, match=f"^{re.escape(message)}$"):
+        call()

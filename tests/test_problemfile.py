@@ -1,3 +1,4 @@
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -293,12 +294,29 @@ class TestBuild:
                 ProblemFileSemanticError,
                 "n_probes = 0 is below 1",
             ),
+            (["kind = sampled", "points = "], ProblemFileParseError, "^fix_set 'points' list is empty$"),
         ],
     )
     def test_bad_fix_set_values(self, lines, error, match):
         raw = parse_problem_text(with_lines("[fix_set]", *lines))
         with pytest.raises(error, match=match):
             build_problem(raw)
+
+    @pytest.mark.parametrize(
+        "old, new, error, message",
+        [
+            ("kind = ball\ncenter", "center", ProblemFileParseError,
+             "missing key 'kind' in section [set]"),
+            ("radius = 10\n", "", ProblemFileParseError, "missing key 'radius' in section [set]"),
+            ("kind = ball\ncenter = 0 0\nradius = 10", "kind = intersection\nmembers = ",
+             ProblemFileParseError, "intersection needs a 'members' list"),
+            ("dimension = 2", "dimension = 0", ProblemFileSemanticError, "dimension must be positive"),
+        ],
+        ids=["set_without_kind", "ball_without_radius", "empty_members", "dimension_0"],
+    )
+    def test_bad_structure(self, old, new, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            build_problem(parse_problem_text(MINIMAL.replace(old, new)))
 
     def test_reference_dimension_mismatch(self):
         raw = parse_problem_text(MINIMAL.replace("x1 = 3 4", "x1 = 3 4\nreference = 1 1 1"))

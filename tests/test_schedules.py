@@ -164,6 +164,10 @@ class TestScalarRecursion:
         with pytest.raises(UsageError, match="x1 must be nonnegative"):
             scalar_recursion(x1, [0.5] * 3, [1.0] * 3, 3)
 
+    def test_negative_n_rejected(self):
+        with pytest.raises(UsageError, match="^N must be nonnegative$"):
+            scalar_recursion(1.0, [0.5], [0.5], -1)
+
 
 @settings(max_examples=50, deadline=None)
 @given(

@@ -86,6 +86,19 @@ class TestValidateProblem:
         spec = make_spec(rho=float("nan"))
         assert "rho must be nonnegative" in validate_problem(spec)
 
+    @pytest.mark.parametrize(
+        "overrides, violation",
+        [
+            (dict(mu=0.0), "mu must be positive"),
+            (dict(mu=-1.0), "mu must be positive"),
+            # sahu_step declares no Lipschitz constant
+            (dict(V=sahu_step(), rho=0.5), "V must declare gamma when rho > 0"),
+        ],
+        ids=["mu_zero", "mu_negative", "v_without_gamma"],
+    )
+    def test_coefficient_violations(self, overrides, violation):
+        assert violation in validate_problem(make_spec(**overrides))
+
     @pytest.mark.parametrize("mode", [None, "full_power", FullPower])
     def test_unknown_mode_rejected_when_built(self, mode):
         with pytest.raises(UsageError, match="unknown power mode"):
@@ -132,7 +145,17 @@ class TestValidateProblem:
             C=C, T=contraction(C, 0.5), S=identity_map(C), V=zero_map(C), F=identity_map(C),
             x1=np.array([5.0, 5.0]),
         )
-        assert any("FullPower mode needs T^n" in v for v in validate_problem(spec))
+        assert "T = contraction(0.5) is not a self-mapping of C" in validate_problem(spec)
+
+    @pytest.mark.parametrize("mode", [FullPower(), Single()])
+    def test_t_must_be_a_self_mapping_in_every_mode(self, mode):
+        # on C = [2, 3] sahu_step is 0 everywhere, outside C
+        C = Box(np.array([2.0]), np.array([3.0]))
+        spec = make_spec(
+            C=C, T=sahu_step(C), S=identity_map(C), V=zero_map(C), F=identity_map(C),
+            x1=[2.5], mode=mode,
+        )
+        assert "T = sahu_step is not a self-mapping of C" in validate_problem(spec)
 
 
 class TestStep:
@@ -167,6 +190,17 @@ class TestStep:
             schedule=power_schedule(1.0, 0.5, 0.0, 0.9),
         )
         assert np.array_equal(step(spec, 1, spec.x1), np.zeros(2))
+
+    def test_single_mode_tests_a_raw_step_for_membership(self):
+        # T claims to map C into itself, but its one step leaves the unit ball
+        C = Ball(np.zeros(2), 1.0)
+        T = MappingHandle("shift", lambda x: x + 5.0, C, maps_into_domain=True)
+        spec = make_spec(
+            C=C, T=T, S=identity_map(C), V=zero_map(C), F=identity_map(C),
+            x1=np.zeros(2), mode=Single(),
+        )
+        with pytest.raises(NumericError, match="^iterate of shift left its domain at power step 1$"):
+            step(spec, 1, spec.x1)
 
 
 class TestSolve:
@@ -427,14 +461,9 @@ class TestViResidual:
         with pytest.raises(UsageError, match=f"^{message}$"):
             make_spec(fix_points=points)
 
-    def test_fix_points_checked_in_one_pass(self, monkeypatch):
-        # each rebuilt spec (dataclasses.replace) used to check every row
+    def test_rebuilt_spec_copies_its_fix_points(self):
         spec = make_spec(fix_points=np.ones((32, 2)), reference=[1.0, 1.0])
-        calls = []
-        checked = type(spec.C)._checked
-        monkeypatch.setattr(type(spec.C), "_checked", lambda C, x: calls.append(1) or checked(C, x))
         copy = dataclasses.replace(spec, mode=Single())
-        assert len(calls) == 2  # x1 and reference
         assert copy.fix_points is not spec.fix_points
         assert np.array_equal(copy.fix_points, spec.fix_points)
 
@@ -522,6 +551,17 @@ class TestPowerRegularity:
         )
         with pytest.raises(NumericError, match="power step 5"):
             check_power_regularity(escape, power_schedule(1.0, 0.5, 1.0, 0.9), [np.zeros(1)], 100)
+
+    def test_non_self_mapping_rejected(self):
+        C = Ball(np.array([5.0, 5.0]), 1.0)
+        with pytest.raises(UsageError, match="^power regularity needs a self-mapping of the domain$"):
+            check_power_regularity(contraction(C, 0.5), power_schedule(1.0, 0.5, 1.0, 0.9), [C.center])
+
+    def test_underflowed_alpha_is_a_usage_error(self):
+        # alpha_100 = 5e-324 / 10 underflows to 0; d / alpha_n used to raise ZeroDivisionError
+        T = rotation(Ball(np.zeros(2), 10.0), 0.5)
+        with pytest.raises(UsageError, match=r"^alpha\(100\) = 0 makes the ratio conditions undefined$"):
+            check_power_regularity(T, power_schedule(5e-324, 0.5, 0.0, 1.0), [[1.0, 0.0]])
 
     def test_no_probes_rejected(self):
         # an empty probe list used to pass without checking anything
