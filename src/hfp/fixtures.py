@@ -27,6 +27,7 @@ def identity_map(domain: ConvexSet) -> MappingHandle:
             nearly_seq=zero_sequence(),
             closed_form_power=lambda n, x: np.asarray(x, dtype=float).copy(),
         ),
+        rows=lambda n, X: X.copy(),
     )
 
 
@@ -37,6 +38,7 @@ def zero_map(domain: ConvexSet) -> MappingHandle:
         domain=domain,
         maps_into_domain=domain.contains(np.zeros(domain.dim)),
         meta=OperatorMeta(lipschitz=0.0),
+        rows=lambda n, X: np.zeros_like(X),
     )
 
 
@@ -48,6 +50,7 @@ def constant_map(domain: ConvexSet, value) -> MappingHandle:
         domain=domain,
         maps_into_domain=domain.contains(c),
         meta=OperatorMeta(lipschitz=0.0, closed_form_power=lambda n, x: c.copy()),
+        rows=lambda n, X: np.tile(c, (len(X), 1)),
     )
 
 
@@ -67,6 +70,7 @@ def contraction(domain: ConvexSet, k: float) -> MappingHandle:
             strong_monotone=k if k > 0 else None,
             closed_form_power=lambda n, x: k**n * np.asarray(x, dtype=float),
         ),
+        rows=lambda n, X: k**n * X,
     )
 
 
@@ -83,6 +87,8 @@ def _matrix_map(name, domain, M, maps_into_domain, power=None, **meta) -> Mappin
             closed_form_power=lambda n, x: power(n) @ np.asarray(x, dtype=float),
             **meta,
         ),
+        # one matmul per row, each with the bits of power(n) @ x; X @ power(n).T differs
+        rows=lambda n, X: (power(n) @ X[:, :, None])[..., 0],
     )
 
 
@@ -125,6 +131,7 @@ def proj_affine(domain: ConvexSet, normal, offset: float) -> MappingHandle:
             nearly_seq=zero_sequence(),
             closed_form_power=lambda n, x: evaluate(x),
         ),
+        rows=lambda n, X: plane._project_rows(X),
     )
 
 
@@ -189,12 +196,16 @@ def sahu_step(domain: ConvexSet | None = None) -> MappingHandle:
     def closed_form(n, x):
         return evaluate(x) if n == 1 else np.array([0.5])
 
+    def rows(n, X):
+        return np.where(X <= 0.5, 0.5, 0.0) if n == 1 else np.full_like(X, 0.5)
+
     return MappingHandle(
         name="sahu_step",
         evaluate=evaluate,
         domain=domain,
         maps_into_domain=into,
         meta=OperatorMeta(nearly_seq=sahu_sequence(0.5), closed_form_power=closed_form),
+        rows=rows,
     )
 
 

@@ -81,6 +81,10 @@ class ConvexSet:
     def _project(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def _project_rows(self, X: np.ndarray) -> np.ndarray:
+        """``_project`` of each row of an ``(n, dim)`` array, to the same bits."""
+        return np.fromiter(map(self._project, X), np.dtype((float, (self.dim,))), len(X))
+
     def _distance(self, x: np.ndarray) -> float:
         return _norm(x - self._project(x))
 
@@ -98,6 +102,8 @@ class WholeSpace(ConvexSet):
 
     def _project(self, x):
         return x.copy()
+
+    _project_rows = _project
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,8 +170,9 @@ class _Flat(ConvexSet):
     def dim(self):
         return self.normal.size
 
-    def _onto_plane(self, x, gap: float):
-        """Projection onto the hyperplane of ``x``, where gap = <normal, x> - offset."""
+    def _onto_plane(self, x, gap):
+        """Projection onto the hyperplane of ``x``, where gap = <normal, x> - offset
+        (for rows ``x``, a column of gaps)."""
         return x - (gap / self._aa) * self.normal
 
 
@@ -180,6 +187,10 @@ class Halfspace(_Flat):
             return x.copy()
         return self._onto_plane(x, slack)
 
+    def _project_rows(self, X):
+        slack = np.vecdot(X, self.normal)[:, None] - self.offset
+        return np.where(slack <= 0.0, X, self._onto_plane(X, slack))
+
 
 class AffineHyperplane(_Flat):
     """The set {x : <normal, x> = offset}."""
@@ -188,6 +199,9 @@ class AffineHyperplane(_Flat):
 
     def _project(self, x):
         return self._onto_plane(x, float(self.normal.dot(x)) - self.offset)
+
+    def _project_rows(self, X):
+        return self._onto_plane(X, np.vecdot(X, self.normal)[:, None] - self.offset)
 
 
 @dataclass(frozen=True, eq=False)
@@ -279,8 +293,10 @@ def _sample_rows(convex_set: ConvexSet, rng: np.random.Generator, n: int) -> np.
     """``n`` successive :func:`sample` draws from ``rng``, as ``(n, dim)`` rows.
 
     Only the draws run per point, in the order one-point sampling makes them:
-    a normal direction, then a radius scale.  The arithmetic runs on whole
-    arrays and gives the same bits as a per-point ``_norm`` and scaling.
+    a normal direction, then a radius scale, raised to 1/dim one scalar at a
+    time (a whole-array power can differ in the last bit).  The arithmetic and
+    the projection (``_project_rows``) run on whole arrays and give the same
+    bits as a per-point ``_norm``, scaling and ``_project``.
     """
     dim = convex_set.dim
     if isinstance(convex_set, Box):
@@ -288,16 +304,17 @@ def _sample_rows(convex_set: ConvexSet, rng: np.random.Generator, n: int) -> np.
         lower = convex_set.lower
         return lower + (convex_set.upper - lower) * rng.random((n, dim))
     N, S = np.empty((n, dim)), np.empty(n)
-    for i in range(n):
-        rng.standard_normal(dim, out=N[i])
-        S[i] = rng.random() ** (1.0 / dim)
+    normal, uniform, power = rng.standard_normal, rng.random, 1.0 / dim
+    for i, row in enumerate(N):
+        normal(dim, out=row)
+        S[i] = uniform() ** power
     L = np.sqrt(np.vecdot(N, N))
     zero = L == 0.0
     N[zero], L[zero] = 1.0, math.sqrt(dim)  # the direction of ones, and its _norm
     if isinstance(convex_set, Ball):
         return convex_set.center + N / L[:, None] * convex_set.radius * S[:, None]
     raw = N / L[:, None] * SAMPLING_RADIUS * S[:, None]
-    return np.fromiter(map(convex_set._project, raw), np.dtype((float, (dim,))), n)
+    return convex_set._project_rows(raw)
 
 
 def sample(convex_set: ConvexSet, rng: np.random.Generator) -> np.ndarray:

@@ -76,13 +76,19 @@ class OperatorMeta:
 
 @dataclass(frozen=True)
 class MappingHandle:
-    """An evaluatable mapping on a convex domain with declared metadata."""
+    """An evaluatable mapping on a convex domain with declared metadata.
+
+    ``rows(n, X)``, when given, is T^n x for each row x of ``X``, to the bits
+    of :func:`_power`; it is asked for n > 1 only with a closed-form power.
+    Certifiers use it in place of a per-row ``evaluate``.
+    """
 
     name: str
     evaluate: Callable[[np.ndarray], np.ndarray]
     domain: ConvexSet
     maps_into_domain: bool
     meta: OperatorMeta = OperatorMeta()
+    rows: Optional[Callable[[int, np.ndarray], np.ndarray]] = None
 
 
 @dataclass(frozen=True)
@@ -172,6 +178,11 @@ def _rows(f: Callable, Z: np.ndarray, shape: Optional[tuple] = None) -> np.ndarr
     return np.fromiter(map(f, Z), dtype=item, count=len(Z))
 
 
+def _evaluate_rows(M: MappingHandle, X: np.ndarray) -> np.ndarray:
+    """``M.evaluate`` of each row of ``X``, through ``M.rows`` when it has one."""
+    return _rows(M.evaluate, X) if M.rows is None else M.rows(1, X)
+
+
 def _norms(D: np.ndarray) -> np.ndarray:
     """Euclidean norms along the last axis, bit-identical to a per-row ``norm``."""
     return np.sqrt(np.vecdot(D, D))
@@ -208,7 +219,7 @@ def certify_lipschitz(
     if claimed < 0:
         raise UsageError("claimed Lipschitz constant must be nonnegative")
     X, Y = _sample_pairs(M.domain, samples, seed)
-    D = _rows(M.evaluate, X) - _rows(M.evaluate, Y)
+    D = _evaluate_rows(M, X) - _evaluate_rows(M, Y)
     return _certify(_norms(D) - claimed * _norms(X - Y), X, Y, seed)
 
 
@@ -220,7 +231,7 @@ def certify_strong_monotone(
         raise UsageError("claimed modulus must be positive")
     X, Y = _sample_pairs(F.domain, samples, seed)
     D = X - Y
-    gaps = np.vecdot(_rows(F.evaluate, X) - _rows(F.evaluate, Y), D)
+    gaps = np.vecdot(_evaluate_rows(F, X) - _evaluate_rows(F, Y), D)
     return _certify(claimed * np.vecdot(D, D) - gaps, X, Y, seed)
 
 
@@ -240,6 +251,8 @@ def certify_nearly_nonexpansive(
     ns = range(1, n_max + 1)
 
     def powers(Z):  # (samples, n_max, dim): T^n z for each row z and n = 1..n_max
+        if T.rows is not None and T.meta.closed_form_power is not None:
+            return np.stack([T.rows(n, Z) for n in ns], axis=1)
         return _rows(lambda z: list(_powers(T, ns, z).values()), Z, (n_max, Z.shape[1]))
 
     D = powers(X) - powers(Y)
@@ -269,7 +282,7 @@ def certify_combined_monotone(
     D = X - Y
 
     def g(Z):
-        return mu * _rows(F.evaluate, Z) - rho * _rows(V.evaluate, Z)
+        return mu * _evaluate_rows(F, Z) - rho * _evaluate_rows(V, Z)
 
     margins = modulus * np.vecdot(D, D) - np.vecdot(g(X) - g(Y), D)
     return _certify(margins, X, Y, seed)
@@ -303,6 +316,6 @@ def certify_yamada_contraction(
         raise UsageError("lambda must lie strictly inside (0, 1)")
     factor = 1.0 - lam * nu_constant(mu, eta, lip)
     X, Y = _sample_pairs(F.domain, samples, seed)
-    GX = X - lam * mu * _rows(F.evaluate, X)
-    GY = Y - lam * mu * _rows(F.evaluate, Y)
+    GX = X - lam * mu * _evaluate_rows(F, X)
+    GY = Y - lam * mu * _evaluate_rows(F, Y)
     return _certify(_norms(GX - GY) - factor * _norms(X - Y), X, Y, seed)

@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 
+from hfp import operators, problemfile
 from hfp.fixtures import (
     averaged_rotation,
     contraction,
@@ -24,11 +25,14 @@ from hfp.fixtures import (
 )
 from hfp.geometry import (
     SAMPLING_RADIUS,
+    AffineHyperplane,
     Ball,
     Box,
+    ConvexSet,
     Halfspace,
     Intersection,
     UsageError,
+    WholeSpace,
     _sample_rows,
 )
 from hfp.operators import (
@@ -37,6 +41,7 @@ from hfp.operators import (
     MappingHandle,
     OperatorMeta,
     _norms,
+    _power,
     _sample_pairs,
     certify_combined_monotone,
     certify_lipschitz,
@@ -375,3 +380,127 @@ def test_nonfinite_margin_fails_with_the_first_such_pair(threshold):
         if name == "nearly_nonexpansive":
             assert cert.witness_power == 1
 
+
+
+# --------------------------------------------------------------- row kernels
+
+# The problem file's fixtures, each with its parameters in dimension d and the
+# dimensions it allows; a fixture added to the catalog must be added here too.
+CATALOG = {
+    "identity": (lambda d: (), (1, 2, 3, 5, 8)),
+    "zero": (lambda d: (), (1, 2, 3, 5, 8)),
+    "constant": (lambda d: (np.linspace(-1.5, 2.0, d),), (1, 2, 3, 5, 8)),
+    "contraction": (lambda d: (0.7,), (1, 2, 3, 5, 8)),
+    "linear": (lambda d: (np.linspace(0.5, 3.0, d),), (1, 2, 3, 5, 8)),
+    "proj_affine": (lambda d: (np.arange(1.0, d + 1), 2.0), (1, 2, 3, 5, 8)),
+    "rotation": (lambda d: (0.7,), (2,)),
+    "averaged_rotation": (lambda d: (0.5, 0.3), (2,)),
+    "sahu_step": (lambda d: (), (1,)),
+}
+
+
+def catalog_fixture(name, C):
+    params, _ = CATALOG[name]
+    return problemfile._FIXTURES[name][1](C, *params(C.dim))
+
+
+def test_the_row_kernel_catalog_is_the_problem_files():
+    assert set(CATALOG) == set(problemfile._FIXTURES)
+
+
+def kernel_rows(dim, count=10**4):
+    """Certifier-like strided rows, with the ties the kernels branch on: rows
+    of 0.5 (``sahu_step``) and integer rows on the plane <(1, ..., d), x> = 2,
+    where a halfspace's slack is exactly 0.0."""
+    rng = np.random.default_rng(dim)
+    X = (rng.standard_normal((2 * count, dim)) * SAMPLING_RADIUS)[0::2]
+    X[::6] = 0.5
+    X[1::8] = np.round(X[1::8])
+    X[1::8, 0] += 2.0 - X[1::8] @ np.arange(1.0, dim + 1)
+    return X
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_row_kernels_match_the_power_kernel_row_by_row(name):
+    for dim in CATALOG[name][1]:
+        T = catalog_fixture(name, WholeSpace(dim))
+        X = kernel_rows(dim)
+        ns = range(1, 5) if T.meta.closed_form_power is not None else (1,)
+        for n in ns:
+            ref = np.array([_power(T, n, x) for x in X])
+            for count in (1, 7, len(X)):
+                assert same_bits(T.rows(n, X[:count]), ref[:count]), (dim, n, count)
+        assert same_bits(T.rows(1, X), [T.evaluate(x) for x in X]), dim
+
+
+def test_stacked_matmul_matches_per_row_matmul():
+    # the identity the matrix fixtures' row kernel rests on, on this machine
+    rng = np.random.default_rng(9)
+    for dim in range(1, 9):
+        A = rng.standard_normal((dim, dim))
+        X = (rng.standard_normal((2 * 10**4, dim)) * SAMPLING_RADIUS)[1::2]
+        for count in (1, 7, 200, len(X)):
+            assert same_bits((A @ X[:count, :, None])[..., 0], [A @ x for x in X[:count]])
+
+
+@pytest.mark.parametrize("dim", (1, 2, 3, 5, 8))
+def test_project_rows_matches_project_row_by_row(dim):
+    normal = np.arange(1.0, dim + 1)
+    X = kernel_rows(dim)
+    sets = [WholeSpace(dim), Halfspace(normal, 2.0), Halfspace(-normal, 1.0)]
+    sets += [AffineHyperplane(normal, 2.0)] if dim > 1 else []
+    for C in sets:
+        ref = np.array([C._project(x) for x in X])
+        for count in (1, 7, len(X)):
+            assert same_bits(C._project_rows(X[:count]), ref[:count]), (C, count)
+    assert (X[1::8] @ normal - 2.0 == 0.0).all()
+
+
+def catalog_handles():
+    """Every catalog fixture over every domain kind whose sampler needs no
+    per-row projection, then ``linear_map`` and ``sahu_step`` on the kinds
+    of domain the hypotheses benchmark certifies them on."""
+    for name, (_, dims) in sorted(CATALOG.items()):
+        dim = 3 if 3 in dims else dims[0]
+        normal = np.arange(1.0, dim + 1)
+        domains = [WholeSpace(dim), Halfspace(normal, 2.0), Ball(np.zeros(dim), 10.0),
+                   Box(-np.ones(dim), np.ones(dim))]
+        domains += [AffineHyperplane(normal, 2.0)] if dim > 1 else []
+        for C in domains:
+            yield f"{name} on {type(C).__name__}", catalog_fixture(name, C)
+    A = np.diag([0.5, 3.0])
+    yield "linear on a 2-d halfspace", linear_map(Halfspace(np.array([1.0, -2.0]), 0.5), A)
+    yield "linear on a 2-d hyperplane", linear_map(AffineHyperplane(np.array([1.0, 1.0]), 1.0), A)
+    yield "sahu_step on [0, 1]", sahu_step()
+
+
+def five_certificates(h, samples=200, seed=3):
+    """Each certifier on ``h``; those that need declared constants take them
+    from a copy that declares L = eta = 1 and keeps ``h``'s kernels."""
+    declared = dataclasses.replace(h, meta=OperatorMeta(lipschitz=1.0, strong_monotone=1.0))
+    certs = [
+        certify_lipschitz(h, 1.0, samples, seed),
+        certify_strong_monotone(h, 1.0, samples, seed),
+        certify_combined_monotone(declared, declared, 0.5, 1.0, samples, seed),
+        certify_yamada_contraction(declared, 0.5, 1.0, samples, seed),
+    ]
+    # a raw T walks per row, testing membership after every step, by design
+    if h.maps_into_domain and h.meta.closed_form_power is not None:
+        certs.append(certify_nearly_nonexpansive(h, zero_sequence(), 4, samples, seed))
+    return certs
+
+
+def test_catalog_fixtures_never_take_the_per_row_path(monkeypatch):
+    def per_row(*args, **kwargs):
+        raise AssertionError("a catalog fixture took the per-row path")
+
+    monkeypatch.setattr(operators, "_rows", per_row)
+    monkeypatch.setattr(ConvexSet, "_project_rows", per_row)
+    kernel = {key: five_certificates(h) for key, h in catalog_handles()}
+    assert sum(len(certs) == 5 for certs in kernel.values()) >= 20  # T^n by rows ran
+    monkeypatch.undo()
+    for key, h in catalog_handles():
+        fallback = five_certificates(dataclasses.replace(h, rows=None))
+        assert len(fallback) == len(kernel[key]), key
+        for ours, theirs in zip(kernel[key], fallback):
+            assert_same(ours, theirs)

@@ -169,6 +169,22 @@ class TestRun:
             )
         assert a.read_bytes() == b.read_bytes()
 
+    def test_trace_paths_resolve_as_documented(self, tmp_path, monkeypatch):
+        # a relative [output] trace is taken from the working directory; the
+        # default trace goes next to the problem file
+        problems, cwd = tmp_path / "problems", tmp_path / "cwd"
+        problems.mkdir()
+        cwd.mkdir()
+        text = (PROBLEMS_DIR / "minnorm.cfg").read_text()
+        assert "[output]\ntrace = minnorm.trace.csv\n" in text
+        (problems / "minnorm.cfg").write_text(text)
+        (problems / "bare.cfg").write_text(text.replace("[output]\ntrace = minnorm.trace.csv\n", ""))
+        monkeypatch.chdir(cwd)
+        for name in ("minnorm.cfg", "bare.cfg"):
+            assert cli.main(["run", str(problems / name), "--max-iters", "5", "--quiet"]) == cli.EXIT_BUDGET
+        assert sorted(p.name for p in cwd.iterdir()) == ["minnorm.trace.csv"]
+        assert sorted(p.name for p in problems.iterdir()) == ["bare.cfg", "bare.trace.csv", "minnorm.cfg"]
+
     def test_timing_column_off_by_default(self, minnorm, tmp_path):
         trace = tmp_path / "t.csv"
         cli.main(["run", minnorm, "--max-iters", "5", "--trace-out", str(trace), "--quiet"])
