@@ -15,6 +15,11 @@ from .geometry import AffineHyperplane, Box, ConvexSet, ProblemDefinitionError, 
 from .operators import MappingHandle, NearnessSequence, OperatorMeta, zero_sequence
 
 
+def _origin(dim: int) -> Box:
+    """The one-point set {0}; a fixture declares Fix(T) = {c} as Box(c, c)."""
+    return Box(np.zeros(dim), np.zeros(dim))
+
+
 def identity_map(domain: ConvexSet) -> MappingHandle:
     return MappingHandle(
         name="identity",
@@ -26,6 +31,7 @@ def identity_map(domain: ConvexSet) -> MappingHandle:
             strong_monotone=1.0,
             nearly_seq=zero_sequence(),
             closed_form_power=lambda n, x: np.asarray(x, dtype=float).copy(),
+            fix_set=domain,
         ),
         rows=lambda n, X: X.copy(),
     )
@@ -37,7 +43,7 @@ def zero_map(domain: ConvexSet) -> MappingHandle:
         evaluate=lambda x: np.zeros(domain.dim),
         domain=domain,
         maps_into_domain=domain.contains(np.zeros(domain.dim)),
-        meta=OperatorMeta(lipschitz=0.0),
+        meta=OperatorMeta(lipschitz=0.0, fix_set=_origin(domain.dim)),
         rows=lambda n, X: np.zeros_like(X),
     )
 
@@ -49,7 +55,9 @@ def constant_map(domain: ConvexSet, value) -> MappingHandle:
         evaluate=lambda x: c.copy(),
         domain=domain,
         maps_into_domain=domain.contains(c),
-        meta=OperatorMeta(lipschitz=0.0, closed_form_power=lambda n, x: c.copy()),
+        meta=OperatorMeta(
+            lipschitz=0.0, closed_form_power=lambda n, x: c.copy(), fix_set=Box(c, c)
+        ),
         rows=lambda n, X: np.tile(c, (len(X), 1)),
     )
 
@@ -69,6 +77,7 @@ def contraction(domain: ConvexSet, k: float) -> MappingHandle:
             lipschitz=k,
             strong_monotone=k if k > 0 else None,
             closed_form_power=lambda n, x: k**n * np.asarray(x, dtype=float),
+            fix_set=domain if k == 1.0 else _origin(domain.dim),
         ),
         rows=lambda n, X: k**n * X,
     )
@@ -130,6 +139,7 @@ def proj_affine(domain: ConvexSet, normal, offset: float) -> MappingHandle:
             lipschitz=1.0,
             nearly_seq=zero_sequence(),
             closed_form_power=lambda n, x: evaluate(x),
+            fix_set=plane,
         ),
         rows=lambda n, X: plane._project_rows(X),
     )
@@ -140,8 +150,13 @@ def _rotation_matrix(theta: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]])
 
 
+def _rotation_fix_set(domain: ConvexSet, theta: float) -> ConvexSet:
+    """Fix(T) of the rotation by theta and its averages: the domain if theta is in 2*pi*Z."""
+    return domain if math.remainder(theta, math.tau) == 0.0 else _origin(2)
+
+
 def rotation(domain: ConvexSet, theta: float) -> MappingHandle:
-    """Planar rotation about the origin: an isometry with Fix = {0}.
+    """Planar rotation about the origin: an isometry with Fix = {0} for theta not in 2*pi*Z.
 
     Negative fixture: for theta != 0 the chord ||T^n x - T^{n-1} x|| is a
     nonzero constant, so the power-regularity requirement fails.
@@ -152,7 +167,7 @@ def rotation(domain: ConvexSet, theta: float) -> MappingHandle:
         f"rotation({theta})", domain, _rotation_matrix(theta), True,
         # R(n*theta) itself: matrix_power(R, n) differs from it in the last place
         power=lambda n: _rotation_matrix(n * theta),
-        lipschitz=1.0, nearly_seq=zero_sequence(),
+        lipschitz=1.0, nearly_seq=zero_sequence(), fix_set=_rotation_fix_set(domain, theta),
     )
 
 
@@ -171,6 +186,7 @@ def averaged_rotation(domain: ConvexSet, lam: float, theta: float) -> MappingHan
     return _matrix_map(
         f"averaged_rotation({lam},{theta})", domain, M, True,
         lipschitz=operator_norm, nearly_seq=zero_sequence(),
+        fix_set=_rotation_fix_set(domain, theta),
     )
 
 
@@ -204,7 +220,9 @@ def sahu_step(domain: ConvexSet | None = None) -> MappingHandle:
         evaluate=evaluate,
         domain=domain,
         maps_into_domain=into,
-        meta=OperatorMeta(nearly_seq=sahu_sequence(0.5), closed_form_power=closed_form),
+        meta=OperatorMeta(
+            nearly_seq=sahu_sequence(0.5), closed_form_power=closed_form, fix_set=Box(0.5, 0.5)
+        ),
         rows=rows,
     )
 

@@ -10,6 +10,7 @@ non-finite margin, on direct evaluation.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -57,6 +58,7 @@ class OperatorMeta:
     strong_monotone: Optional[float] = None
     nearly_seq: Optional[NearnessSequence] = None
     closed_form_power: Optional[Callable[[int, np.ndarray], np.ndarray]] = None
+    fix_set: Optional[ConvexSet] = None  # Fix(T), as the catalog fixtures declare it
 
     def __post_init__(self):
         if self.lipschitz is not None and self.lipschitz < 0:
@@ -101,9 +103,16 @@ class Certificate:
     witness_power: Optional[int] = None
 
 
+def _integer(value, what: str):
+    """``value``, if it is an integer; ``what`` names it in the UsageError."""
+    if not isinstance(value, numbers.Integral):
+        raise UsageError(f"{what} = {value!r} is not an integer")
+    return value
+
+
 def power(T: MappingHandle, n: int, x: np.ndarray) -> np.ndarray:
     """n-th iterate T^n x, via the closed form when the fixture ships one."""
-    if n < 1:
+    if _integer(n, "power index") < 1:
         raise UsageError("power index must be a positive integer")
     return _power(T, n, T.domain._checked(x))
 
@@ -146,7 +155,7 @@ def _sample_pairs(domain: ConvexSet, samples: int, seed: int):
 
     One pass draws the rows x1, y1, x2, y2, ...; when a pair coincides, the
     loop reads on through that stream, so the pairs are still its own."""
-    if samples < 2:
+    if _integer(samples, "samples") < 2:
         raise UsageError("need at least two samples")
     rng = np.random.default_rng(seed)
     Z = _sample_rows(domain, rng, 2 * samples)
@@ -245,7 +254,7 @@ def certify_nearly_nonexpansive(
     """Check ||T^n x - T^n y|| <= ||x - y|| + a_n for n = 1..n_max."""
     if not T.maps_into_domain:
         raise UsageError("near-nonexpansiveness needs a self-mapping of the domain")
-    if n_max < 1:
+    if _integer(n_max, "n_max") < 1:
         raise UsageError("n_max must be at least 1")
     X, Y = _sample_pairs(T.domain, samples, seed)
     ns = range(1, n_max + 1)

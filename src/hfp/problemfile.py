@@ -68,10 +68,6 @@ def _read(section: str, pairs: Dict[str, str], key: str, convert, what: str):
 _REAL = (_real, "a finite real number")
 _INT = (int, "an integer")
 _VECTOR = (_reals, "a vector of finite reals")
-_VECTORS = (  # ``;``-separated; empty items are skipped
-    lambda text: [_reals(item) for item in text.split(";") if item.strip()],
-    "a list of vectors of finite reals",
-)
 _TOL = (  # a stop tolerance; ``none`` disables its rule
     lambda text: None if text.lower() == "none" else _real(text),
     "a finite real number or 'none'",
@@ -90,11 +86,10 @@ def _check_dim(what: str, size: int, dimension: int):
 # (key, reader, default) for an optional key; a field whose reader is itself a
 # catalog names one of its entries, whose keys then sit in the same section.
 # ``build(context, *values)`` gets the fields' values in order; the context is
-# the pair (declared dimension, problem seed) for a set or fix set, or the
-# domain C for a mapping.
+# the declared dimension for a set, or the domain C for a mapping.
 
 _SET_KINDS = {
-    "wholespace": ((), lambda space: WholeSpace(space[0])),
+    "wholespace": ((), lambda dimension: WholeSpace(dimension)),
     "ball": ((("center", _VECTOR), ("radius", _REAL)), lambda _, c, r: Ball(c, r)),
     "box": ((("lower", _VECTOR), ("upper", _VECTOR)), lambda _, lower, upper: Box(lower, upper)),
     "halfspace": ((("normal", _VECTOR), ("offset", _REAL)), lambda _, a, b: Halfspace(a, b)),
@@ -126,38 +121,7 @@ _FIXTURES = {
 }
 
 
-DEFAULT_N_PROBES = 32  # convex_subset points when the file gives no n_probes
-
-
-# Each fix-set builder returns the points that probe Fix(T).
-def _singleton(space, point: np.ndarray) -> List[np.ndarray]:
-    return _sampled(space, [point])
-
-
-def _sampled(space, points: List[np.ndarray]) -> List[np.ndarray]:
-    if not points:
-        raise ProblemFileParseError("fix_set 'points' list is empty")
-    for point in points:
-        _check_dim("fix_set point", point.size, space[0])
-    return points
-
-
-def _convex_subset(space, subset: ConvexSet, n_probes: int) -> np.ndarray:
-    dimension, seed = space
-    _check_dim("fix_set", subset.dim, dimension)
-    if n_probes < 1:
-        raise ProblemFileSemanticError(f"fix_set.n_probes = {n_probes} is below 1")
-    return _sample_rows(subset, np.random.default_rng(seed), n_probes)
-
-
-_FIX_SETS = {
-    "singleton": ((("point", _VECTOR),), _singleton),
-    "convex_subset": (
-        (("set_kind", _SET_KINDS), ("n_probes", _INT, DEFAULT_N_PROBES)),
-        _convex_subset,
-    ),
-    "sampled": ((("points", _VECTORS),), _sampled),
-}
+N_FIX_PROBES = 32  # points of T's declared Fix(T) that probe the VI of a problem file
 
 # Each fixed section is a tuple of fields, as a catalog entry is; the walks
 # below read the sections, and report their faults, in this order.
@@ -170,7 +134,6 @@ _SECTIONS = {
     **{mapping: (("fixture", _FIXTURES),) for mapping in "TSVF"},
     # Schedule's field order
     "schedule": (("alpha0", _REAL), ("p", _REAL), ("beta0", _REAL), ("q", _REAL)),
-    "fix_set": (("kind", _FIX_SETS),),
     "stop": (
         ("max_iters", _INT, StopRule.max_iters),
         ("tol_step", _TOL, StopRule.tol_step),
@@ -179,7 +142,7 @@ _SECTIONS = {
     ),
     "output": (("trace", _TEXT, None),),
 }
-_OPTIONAL_SECTIONS = ("fix_set", "stop", "output")
+_OPTIONAL_SECTIONS = ("stop", "output")
 _REQUIRED_SECTIONS = tuple(s for s in _SECTIONS if s not in _OPTIONAL_SECTIONS)
 # ``[set]`` when it is an intersection; each member is a ``[set.<name>]``
 # section with the fields of ``[set]``
@@ -311,13 +274,13 @@ def validate_raw(raw: RawConfig):
         )
 
 
-def _build_set(raw: RawConfig, section: str, space) -> ConvexSet:
+def _build_set(raw: RawConfig, section: str, dimension: int) -> ConvexSet:
     pairs = raw[section]
     if pairs["kind"] == "intersection":
         members = pairs["members"].split()
-        return Intersection(tuple(_build_set(raw, f"set.{m}", space) for m in members))
-    (built,) = _values(section, pairs, _SECTIONS["set"], space)
-    _check_dim(section, built.dim, space[0])
+        return Intersection(tuple(_build_set(raw, f"set.{m}", dimension) for m in members))
+    (built,) = _values(section, pairs, _SECTIONS["set"], dimension)
+    _check_dim(section, built.dim, dimension)
     return built
 
 
@@ -342,9 +305,8 @@ def build_problem(raw: RawConfig) -> BuiltProblem:
     dimension, rho, mu, variant, x1, seed, reference = values("problem")
     if dimension < 1:
         raise ProblemFileSemanticError("dimension must be positive")
-    space = (dimension, seed)
     try:
-        C = _build_set(raw, "set", space)
+        C = _build_set(raw, "set", dimension)
         T, S, V, F = (values(m, C)[0] for m in "TSVF")
         schedule = Schedule(*values("schedule"))
         _check_dim("x1", x1.size, dimension)
@@ -352,7 +314,8 @@ def build_problem(raw: RawConfig) -> BuiltProblem:
             _check_dim("reference", reference.size, dimension)
         if seed < 0:
             raise ProblemFileSemanticError(f"problem.seed = {seed} is below 0")
-        fix_points = values("fix_set", space)[0] if "fix_set" in raw else None
+        fix_set, rng = T.meta.fix_set, np.random.default_rng(seed)
+        fix_points = None if fix_set is None else _sample_rows(fix_set, rng, N_FIX_PROBES)
         base = ProblemSpec(
             C=C, T=T, S=S, V=V, F=F, rho=rho, mu=mu, schedule=schedule, mode=FullPower(),
             x1=x1, fix_points=fix_points, reference=reference, seed=seed,

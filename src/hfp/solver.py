@@ -33,7 +33,7 @@ from .geometry import (
     norm,
 )
 from .fixtures import identity_map
-from .operators import MappingHandle, _power, _powers, nu_constant
+from .operators import MappingHandle, _integer, _power, _powers, nu_constant
 from .schedules import Schedule, _trend_ok, _trend_probes, validate_schedule
 
 FIX_POINT_TOL = 1e-6
@@ -191,6 +191,12 @@ def validate_problem(p: ProblemSpec) -> List[str]:
         except ProblemDefinitionError as exc:
             violations.append(str(exc))
 
+    if p.T.meta.fix_set is not None:
+        try:
+            Intersection((p.T.meta.fix_set, p.C)).feasible_point()
+        except ProblemDefinitionError as exc:
+            violations.append(f"Fix(T) of T = {p.T.name} does not meet C: {exc}")
+
     try:
         failures = validate_schedule(p.schedule, p.T.meta.nearly_seq)
     except UsageError as exc:
@@ -217,7 +223,7 @@ def step(p: ProblemSpec, n: int, x: np.ndarray):
     beta_n = 0 and alpha_n = 0 short-circuit their convex combinations so the
     algebraic reductions (y_n = x_n, x_{n+1} = P_C[T^n y_n]) hold bit-exactly.
     """
-    if n < 1:
+    if _integer(n, "iteration index") < 1:
         raise UsageError("iteration index must be a positive integer")
     alpha, beta = p.schedule.alpha(n), p.schedule.beta(n)
     return _step(p, n, p.C._checked(x), alpha, beta, n)
@@ -355,7 +361,7 @@ def check_power_regularity(
     """
     if not T.maps_into_domain:
         raise UsageError("power regularity needs a self-mapping of the domain")
-    if horizon < 2:
+    if _integer(horizon, "horizon") < 2:
         raise UsageError("the regularity horizon must be at least 2")
     if len(probes) == 0:
         raise UsageError("power regularity needs at least one probe point")

@@ -60,7 +60,7 @@ def budget_stop(n):
 @pytest.fixture
 def minnorm_problem():
     """C = Ball(0,10), T = projection onto x1+x2=2, V = 0, F = I; 32 seeded
-    probes on that line, as a ``convex_subset`` fix set with seed 0 draws them."""
+    probes on that line, as a problem file with seed 0 draws them from T's Fix(T)."""
     C = Ball(np.zeros(2), 10.0)
     line = AffineHyperplane(np.array([1.0, 1.0]), 2.0)
     rng = np.random.default_rng(0)

@@ -431,15 +431,16 @@ class TestBadValues:
     @pytest.mark.parametrize(
         "name, overrides, code, text",
         [
-            ("minnorm", ["fix_set.n_probes=abc"], cli.EXIT_PARSE, "'n_probes'"),
-            ("minnorm", ["fix_set.n_probes=1.5"], cli.EXIT_PARSE, "'n_probes'"),
-            ("minnorm", ["fix_set.n_probes=0"], cli.EXIT_SEMANTIC, "n_probes = 0 is below 1"),
-            ("sahu_step", ["fix_set.point=0.5 0.5"], cli.EXIT_SEMANTIC, "fix_set point dimension 2"),
-            ("minnorm", ["fix_set.normal=1 1 1"], cli.EXIT_SEMANTIC, "fix_set dimension 3"),
+            # T declares its own Fix(T), so [fix_set] and each of its keys are gone
+            ("minnorm", ["fix_set.kind=singleton"], cli.EXIT_PARSE, "unknown section [fix_set]"),
+            ("minnorm", ["fix_set.n_probes=32"], cli.EXIT_PARSE, "unknown section [fix_set]"),
+            ("minnorm", ["fix_set.set_kind=hyperplane"], cli.EXIT_PARSE, "unknown section [fix_set]"),
+            ("sahu_step", ["fix_set.point=0.5"], cli.EXIT_PARSE, "unknown section [fix_set]"),
+            ("quadmin", ["fix_set.points=1 1"], cli.EXIT_PARSE, "unknown section [fix_set]"),
             ("minnorm", ["problem.reference=1 1 1"], cli.EXIT_SEMANTIC, "reference dimension 3"),
             ("minnorm", ["T.normal=1 1 1"], cli.EXIT_SEMANTIC, "normal must match the domain"),
             ("minnorm", ["problem.rho=nan"], cli.EXIT_PARSE, "'rho'"),
-            ("minnorm", ["fix_set.offset=nan"], cli.EXIT_PARSE, "'offset'"),
+            ("minnorm", ["T.offset=nan"], cli.EXIT_PARSE, "'offset'"),
             ("minnorm", ["problem.x1=inf 0"], cli.EXIT_PARSE, "'x1'"),
             ("minnorm", ["problem.seed=-1"], cli.EXIT_SEMANTIC, "seed = -1 is below 0"),
         ],
@@ -452,6 +453,20 @@ class TestBadValues:
             argv += ["--max-iters", "3", "--trace-out", str(tmp_path / "t.csv")]
         assert cli.main(argv) == code
         assert text in capsys.readouterr().err
+        assert not (tmp_path / "t.csv").exists()
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_fix_t_must_meet_c(self, command, tmp_path, capsys):
+        # the plane x + y = 100 misses the radius-10 ball; with a [fix_set] moved
+        # along with T, this was valid and ran to (7.07, 7.07), off the plane
+        argv = [command, str(PROBLEMS_DIR / "minnorm.cfg"), "--set", "T.offset=100"]
+        if command == "run":
+            argv += ["--trace-out", str(tmp_path / "t.csv")]
+        assert cli.main(argv) == cli.EXIT_SEMANTIC
+        assert capsys.readouterr().out == (
+            "violation: Fix(T) of T = proj_affine does not meet C: intersection feasibility "
+            "probe failed: probe point is not within every member set\n"
+        )
         assert not (tmp_path / "t.csv").exists()
 
     def test_one_point_domain_cannot_be_certified(self, capsys):
@@ -495,10 +510,10 @@ class TestSelfMappings:
     @staticmethod
     def sahu_off_its_domain(tmp_path, capsys, command, *overrides):
         """``command`` on sahu_step.cfg moved to C = [2, 3], where T is 0
-        everywhere, outside C; returns the exit code and stdout."""
+        everywhere, outside C, and Fix(T) = {0.5} misses C; returns the exit
+        code and stdout."""
         text = (PROBLEMS_DIR / "sahu_step.cfg").read_text()
         text = text.replace("lower = 0\nupper = 1", "lower = 2\nupper = 3")
-        text = text.replace("[fix_set]\nkind = singleton\npoint = 0.5\n", "")
         cfg = tmp_path / "sahu.cfg"
         cfg.write_text(text)
         argv = [command, str(cfg), "--set", "problem.x1=2.5", "--set", "problem.reference=2.5"]
@@ -507,7 +522,9 @@ class TestSelfMappings:
         budget = ["--max-iters", "5"] if command == "run" else []  # validate takes no budget
         rc = cli.main([*argv, *budget])
         assert list(tmp_path.iterdir()) == [cfg]  # no trace
-        return rc, capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "violation: Fix(T) of T = sahu_step does not meet C" in out
+        return rc, out
 
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_sahu_step_takes_the_problem_domain(self, tmp_path, capsys, command):
@@ -713,11 +730,12 @@ def test_exit_codes_without_traceback(minnorm, tmp_path, argv, code, stream, tex
 
 
 # C is the intersection of the unit balls about 0 and (2, 0), which touch only
-# at (1, 0); from most points Dykstra's projection onto C is too slow to finish
+# at (1, 0); from most points Dykstra's projection onto C is too slow to finish.
+# T = (1, 0), so Fix(T) = {(1, 0)} meets C at once.
 TANGENT = (
     EXPANDING.replace("x1 = 1 1", "x1 = 1 0")
     .replace("kind = wholespace", "kind = intersection\nmembers = a b")
-    .replace("k = 3", "k = 1")
+    .replace("fixture = contraction\nk = 3", "fixture = constant\nvalue = 1 0")
     + "\n[set.a]\nkind = ball\ncenter = 0 0\nradius = 1\n"
     + "\n[set.b]\nkind = ball\ncenter = 2 0\nradius = 1\n"
 )
@@ -769,7 +787,7 @@ SHIPPED = ("minnorm", "sahu_step", "rotation_fullpower")
 # every catalog entry's keys, each section's selector and the optional
 # [problem] keys
 TABLE_KEYS = sorted(
-    [*OWNERS, "set.kind", *(f"{m}.fixture" for m in "TSVF"), "fix_set.kind"]
+    [*OWNERS, "set.kind", *(f"{m}.fixture" for m in "TSVF")]
     + [f"problem.{key}" for key in ("seed", "reference")]
 )
 SHIPPED_RAW = {
@@ -786,10 +804,10 @@ FILE_KEYS = {
     for name, raw in SHIPPED_RAW.items()
 }
 # wrong-length vectors, non-numbers, 0, negatives, nan, inf and small ints; no
-# large ints, since n_probes = 10**7 would sample 10**7 points
+# large ints, since dimension = 10**7 would build vectors of 10**7 reals
 FUZZ_VALUES = ["0", "1", "2", "3", "-1", "-2", "0.5", "nan", "inf", "-inf", "x", ""]
 FUZZ_VALUES += ["0 0", "1 1", "1 0", "0 1 2", "1; 2", "0.5; x", "none"]
-CATALOG_NAMES = sorted({*problemfile._SET_KINDS, *problemfile._FIXTURES, *problemfile._FIX_SETS})
+CATALOG_NAMES = sorted({*problemfile._SET_KINDS, *problemfile._FIXTURES})
 
 
 def _readers(fields):
@@ -821,7 +839,6 @@ def reader_values(read, dimension):
         problemfile._TOL: st.integers(0, 8).map(lambda i: repr(i / 4)),
         problemfile._INT: st.integers(1, 5).map(str),
         problemfile._VECTOR: vector,
-        problemfile._VECTORS: st.lists(vector, min_size=1, max_size=3).map("; ".join),
     }[read]
 
 

@@ -17,8 +17,9 @@ from hfp.fixtures import (
     sahu_step,
     zero_map,
 )
+from hfp import problemfile
 from hfp.geometry import (
-    Ball, Box, NumericError, ProblemDefinitionError, UsageError, WholeSpace, norm,
+    Ball, Box, NumericError, ProblemDefinitionError, UsageError, WholeSpace, _sample_rows, norm,
 )
 from hfp.operators import (
     MappingHandle,
@@ -34,7 +35,9 @@ from hfp.operators import (
     zero_sequence,
 )
 from hfp.schedules import Schedule, validate_schedule
-from hfp.solver import FullPower, ProblemSpec, validate_problem
+from hfp.solver import (
+    FIX_POINT_TOL, FullPower, ProblemSpec, check_power_regularity, step, validate_problem,
+)
 
 DOMAIN = Ball(np.zeros(2), 10.0)
 SCHEDULE = Schedule(1.0, 0.5, 1.0, 0.9)
@@ -415,4 +418,60 @@ def test_fixture_rejects_bad_parameters(build, message):
 )
 def test_operator_rejects_bad_arguments(call, message):
     with pytest.raises(UsageError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+# each catalog fixture but linear, with the parameters to build it on a
+# domain of dimension 1 or 2; theta = 0, k = 1 and theta = 2*pi fix every point
+FIX_SET_CASES = [
+    ("identity", ()), ("zero", ()), ("constant", (np.array([0.5, -3.0]),)),
+    ("contraction", (0.0,)), ("contraction", (0.5,)), ("contraction", (1.0,)),
+    ("contraction", (2.0,)), ("proj_affine", (np.array([1.0, 2.0]), 3.0)),
+    ("rotation", (0.0,)), ("rotation", (0.7,)), ("rotation", (2 * math.pi,)),
+    ("rotation", (-4 * math.pi,)), ("averaged_rotation", (0.5, 0.0)),
+    ("averaged_rotation", (0.5, 0.7)), ("averaged_rotation", (0.3, 2 * math.pi)),
+    ("sahu_step", ()),
+]
+FIX_SET_DOMAINS = {
+    "centred_ball": lambda d: Ball(np.zeros(d), 5.0),
+    "off_centre_ball": lambda d: Ball(np.full(d, 3.0), 1.0),
+    "box": lambda d: Box(np.full(d, -1.0), np.full(d, 2.0)),
+    "wholespace": WholeSpace,
+}
+
+
+def test_fix_set_cases_cover_the_catalog():
+    assert {name for name, _ in FIX_SET_CASES} == set(problemfile._FIXTURES) - {"linear"}
+    assert linear_map(DOMAIN, np.eye(2)).meta.fix_set is None
+
+
+@pytest.mark.parametrize("domain", sorted(FIX_SET_DOMAINS))
+@pytest.mark.parametrize("name, args", FIX_SET_CASES)
+def test_declared_fix_set_is_fixed(name, args, domain):
+    C = FIX_SET_DOMAINS[domain](1 if name == "sahu_step" else 2)
+    T = problemfile._FIXTURES[name][1](C, *args)
+    fix_set = T.meta.fix_set
+    assert fix_set.dim == C.dim
+    for y in _sample_rows(fix_set, np.random.default_rng(5), 64):
+        assert norm(T.evaluate(y) - y) <= FIX_POINT_TOL
+
+
+RAW_HALF = dataclasses.replace(contraction(DOMAIN, 0.5), meta=OperatorMeta(lipschitz=0.5))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: power(contraction(DOMAIN, 0.5), 2.5, np.ones(2)), "power index = 2.5"),
+        (lambda: power(RAW_HALF, 2.5, np.ones(2)), "power index = 2.5"),
+        (lambda: step(_spec(RAW_HALF), 2.5, np.ones(2)), "iteration index = 2.5"),
+        (lambda: check_power_regularity(RAW_HALF, SCHEDULE, [np.ones(2)], horizon=1000.5),
+         "horizon = 1000.5"),
+        (lambda: certify_lipschitz(RAW_HALF, 0.5, samples=10.5), "samples = 10.5"),
+        (lambda: certify_nearly_nonexpansive(RAW_HALF, zero_sequence(), n_max=2.5), "n_max = 2.5"),
+    ],
+    ids=["power", "raw_power", "step", "horizon", "samples", "n_max"],
+)
+def test_integer_parameters_must_be_integers(call, message):
+    with pytest.raises(UsageError, match=f"^{re.escape(message)} is not an integer$"):
         call()

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from hfp import fixtures, problemfile
-from hfp.geometry import AffineHyperplane, Ball, Intersection, WholeSpace, sample
+from hfp.geometry import AffineHyperplane, Ball, Intersection, WholeSpace, _sample_rows
 from hfp.problemfile import (
-    DEFAULT_N_PROBES,
+    N_FIX_PROBES,
     ProblemFileParseError,
     ProblemFileSemanticError,
     apply_overrides,
@@ -197,35 +197,6 @@ class TestBuild:
         assert isinstance(built.spec.mode, Single)
         assert built.spec.S.name == "identity"
 
-    def test_fix_set_kinds(self):
-        singleton = build_problem(
-            parse_problem_text(with_lines("[fix_set]", "kind = singleton", "point = 1 1"))
-        )
-        assert np.array_equal(singleton.spec.fix_points, [[1.0, 1.0]])
-
-        subset = build_problem(
-            parse_problem_text(
-                with_lines(
-                    "[fix_set]",
-                    "kind = convex_subset",
-                    "set_kind = hyperplane",
-                    "normal = 1 1",
-                    "offset = 2",
-                    "n_probes = 8",
-                )
-            )
-        )
-        assert subset.spec.fix_points.shape == (8, 2)
-        line = AffineHyperplane(np.array([1.0, 1.0]), 2.0)
-        assert all(line.contains(point) for point in subset.spec.fix_points)
-
-        sampled = build_problem(
-            parse_problem_text(
-                with_lines("[fix_set]", "kind = sampled", "points = 1 1; 2 0")
-            )
-        )
-        assert np.array_equal(sampled.spec.fix_points, [[1.0, 1.0], [2.0, 0.0]])
-
     def test_stop_tolerances_accept_none(self):
         built = build_problem(
             parse_problem_text(
@@ -271,38 +242,6 @@ class TestBuild:
             build_problem(raw)
 
     @pytest.mark.parametrize(
-        "lines, error, match",
-        [
-            (["kind = sampled", "points = 0.5; x"], ProblemFileParseError, "points"),
-            (["kind = sampled", "points = 1 1; 2"], ProblemFileSemanticError, "dimension 1"),
-            (["kind = singleton", "point = 1 1 1"], ProblemFileSemanticError, "dimension 3"),
-            (["kind = singleton", "point = inf 1"], ProblemFileParseError, "point"),
-            (
-                ["kind = convex_subset", "set_kind = hyperplane", "normal = 1 1 1", "offset = 2"],
-                ProblemFileSemanticError,
-                "fix_set dimension 3",
-            ),
-            (
-                ["kind = convex_subset", "set_kind = ball", "center = 0 0", "radius = 1",
-                 "n_probes = abc"],
-                ProblemFileParseError,
-                "n_probes",
-            ),
-            (
-                ["kind = convex_subset", "set_kind = ball", "center = 0 0", "radius = 1",
-                 "n_probes = 0"],
-                ProblemFileSemanticError,
-                "n_probes = 0 is below 1",
-            ),
-            (["kind = sampled", "points = "], ProblemFileParseError, "^fix_set 'points' list is empty$"),
-        ],
-    )
-    def test_bad_fix_set_values(self, lines, error, match):
-        raw = parse_problem_text(with_lines("[fix_set]", *lines))
-        with pytest.raises(error, match=match):
-            build_problem(raw)
-
-    @pytest.mark.parametrize(
         "old, new, error, message",
         [
             ("kind = ball\ncenter", "center", ProblemFileParseError,
@@ -328,21 +267,16 @@ class TestBuild:
         with pytest.raises(ProblemFileSemanticError, match="seed"):
             build_problem(raw)
 
-    def test_wholespace_member_and_fix_set(self):
+    def test_wholespace_member(self):
         text = MINIMAL.replace(
             "kind = ball\ncenter = 0 0\nradius = 10",
             "kind = intersection\nmembers = a b",
         ) + (
             "\n[set.a]\nkind = ball\ncenter = 0 0\nradius = 10\n"
             "\n[set.b]\nkind = wholespace\n"
-            "\n[fix_set]\nkind = convex_subset\nset_kind = wholespace\n"
         )
         spec = build_problem(parse_problem_text(text)).spec
         assert spec.C.members[1] == WholeSpace(2)
-        # the problem seed (0) draws the probes, in the order sample gives them
-        rng = np.random.default_rng(0)
-        expected = [sample(WholeSpace(2), rng) for _ in range(DEFAULT_N_PROBES)]
-        assert np.array_equal(spec.fix_points, expected)
 
     def test_fixture_factory_looked_up_when_built(self, monkeypatch):
         # the traced benchmark wraps the factories by patching hfp.fixtures
@@ -381,13 +315,25 @@ class TestBuild:
             built = build_problem(parse_problem_file(str(PROBLEMS_DIR / f"{name}.cfg")))
             assert built.spec.C.contains(built.spec.x1)
 
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_shipped_fix_points_are_seeded_draws_from_fix_t(self, seed):
+        def fix_points(name):
+            raw = parse_problem_file(str(PROBLEMS_DIR / f"{name}.cfg"))
+            return build_problem(apply_overrides(raw, [f"problem.seed={seed}"])).spec.fix_points
+
+        line = AffineHyperplane(np.array([1.0, 1.0]), 2.0)
+        expected = _sample_rows(line, np.random.default_rng(seed), 32)
+        assert np.array_equal(fix_points("minnorm"), expected)
+        assert np.array_equal(fix_points("quadmin"), expected)
+        assert np.array_equal(fix_points("rotation_fullpower"), np.zeros((32, 2)))
+        assert np.array_equal(fix_points("sahu_step"), np.full((32, 1), 0.5))
+
 
 def test_defaults_come_from_their_owners():
-    text = with_lines("[fix_set]", "kind = convex_subset", "set_kind = wholespace")
-    built = build_problem(parse_problem_text(text))
+    built = build_problem(parse_problem_text(MINIMAL))
     assert built.stop == StopRule() == StopRule(100000, 1e-10, 1e-8, 1e-8)
     assert built.spec.seed == ProblemSpec.seed == 0
-    assert built.spec.fix_points.shape == (DEFAULT_N_PROBES, 2) == (32, 2)
+    assert built.spec.fix_points.shape == (N_FIX_PROBES, 2) == (32, 2)
     assert built.spec.reference is None and built.trace_path is None
 
 
