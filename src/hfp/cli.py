@@ -14,11 +14,6 @@ from pathlib import Path
 from typing import List, Optional
 
 from .geometry import NumericError, UsageError
-from .operators import (
-    certify_lipschitz,
-    certify_nearly_nonexpansive,
-    certify_strong_monotone,
-)
 from .problemfile import (
     BuiltProblem,
     ProblemFileParseError,
@@ -48,7 +43,6 @@ EXIT_NUMERIC = 4
 
 TRACE_HEADER = ",".join(TraceRow._fields)  # a trace line is one TraceRow
 TRACE_BLOCK = 1024  # trace rows formatted at a time; more save no time and raise peak memory
-CERTIFIER_SAMPLES = 200  # pairs per spot check of a declared constant
 
 
 def _write(path: str, lines):
@@ -114,39 +108,9 @@ def _violated(spec: ProblemSpec, violations: List[str], label: str = "violation"
     return bool(violations)
 
 
-def _certifier_violations(spec: ProblemSpec) -> List[str]:
-    """Spot-check declared fixture metadata with small-sample certifiers."""
-    samples, seed = CERTIFIER_SAMPLES, spec.seed
-    certificates = []
-    for label, handle in (("T", spec.T), ("S", spec.S), ("V", spec.V), ("F", spec.F)):
-        meta = handle.meta
-        if meta.lipschitz is not None:
-            cert = certify_lipschitz(handle, meta.lipschitz, samples, seed)
-            certificates.append((f"{label} Lipschitz", cert))
-        if meta.strong_monotone is not None:
-            cert = certify_strong_monotone(handle, meta.strong_monotone, samples, seed)
-            certificates.append((f"{label} strong monotonicity", cert))
-    T = spec.T
-    if T.meta.nearly_seq is not None:
-        cert = certify_nearly_nonexpansive(T, T.meta.nearly_seq, 3, samples, seed)
-        certificates.append(("T near-nonexpansiveness", cert))
-    return [
-        f"certifier failed: {label} (worst margin {cert.worst_margin:.3e})"
-        for label, cert in certificates
-        if not cert.passed
-    ]
-
-
 def cmd_validate(args) -> int:
-    built = _load(args)
-    violations = validate_problem(built.spec)
-    try:
-        violations.extend(_certifier_violations(built.spec))
-    # a one-point domain has no pairs to sample, and the projection that
-    # samples some other domains may not converge
-    except (UsageError, NumericError) as exc:
-        violations.append(f"certifiers cannot run: {exc}")
-    if _violated(built.spec, violations):
+    spec = _load(args).spec
+    if _violated(spec, validate_problem(spec)):
         return EXIT_SEMANTIC
     print("valid")
     return EXIT_OK

@@ -1,9 +1,10 @@
 """Shipped test mappings with honest declared metadata.
 
-Every fixture's declared constants are validated by the certifiers in the
-test suite.  ``sahu_step`` is discontinuous (hence not demicontinuous); it is
-kept as an experimental fixture because its fixed-point set is a singleton
-and convergence toward it is empirically checkable.
+``tests/test_operators.py::test_fixture_metadata_self_certifies`` certifies
+every fixture's declared constants at 10^4 pairs on each non-intersection
+domain kind.  ``sahu_step`` is discontinuous (hence not demicontinuous); it
+is kept as an experimental fixture because its fixed-point set is a
+singleton and convergence toward it is empirically checkable.
 """
 from __future__ import annotations
 

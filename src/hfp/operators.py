@@ -297,13 +297,24 @@ def certify_combined_monotone(
     return _certify(margins, X, Y, seed)
 
 
+def _lip_squared_terms(mu: float, eta: float, lip: float) -> tuple:
+    """(2*eta/L^2, mu*L^2) for L = ``lip`` > 0.  Where ``lip**2`` overflows
+    or underflows to 0, they are 2*(eta/L)/L and mu*L*L, which cannot raise;
+    elsewhere ``lip**2`` keeps their bits, which ``lip*lip`` does not always."""
+    try:
+        return 2 * eta / lip**2, mu * lip**2
+    except (OverflowError, ZeroDivisionError):
+        return 2 * (eta / lip) / lip, mu * lip * lip
+
+
 def nu_constant(mu: float, eta: float, lip: float) -> float:
     """The contraction modulus nu = 1 - sqrt(1 - mu*(2*eta - mu*L^2))."""
     if eta <= 0 or lip <= 0:
         raise UsageError("eta and L must be positive")
-    if not 0 < mu < 2 * eta / lip**2:
-        raise UsageError(f"mu must lie in (0, {2 * eta / lip**2}), got {mu}")
-    radicand = 1.0 - mu * (2.0 * eta - mu * lip**2)
+    bound, mu_lip_squared = _lip_squared_terms(mu, eta, lip)
+    if not 0 < mu < bound:
+        raise UsageError(f"mu must lie in (0, {bound}), got {mu}")
+    radicand = 1.0 - mu * (2.0 * eta - mu_lip_squared)
     # roundoff can push the radicand a hair below zero at mu = eta / L^2
     radicand = max(radicand, 0.0)
     return 1.0 - math.sqrt(radicand)

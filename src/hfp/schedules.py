@@ -16,7 +16,7 @@ from typing import List, Optional
 import numpy as np
 
 from .geometry import UsageError
-from .operators import NearnessSequence, zero_sequence
+from .operators import NearnessSequence, _integer, zero_sequence
 
 TREND_TOL = 0.05
 SCHEDULE_HORIZON = 10**6
@@ -108,7 +108,7 @@ def scalar_recursion(x1, alpha, beta, N: int):
     """
     if not x1 >= 0:  # False at NaN
         raise UsageError("x1 must be nonnegative")
-    if N < 0:
+    if _integer(N, "N") < 0:
         raise UsageError("N must be nonnegative")
     a, b = _values(alpha, N), _values(beta, N)
     inside = (a >= 0) & (a <= 1)  # False at NaN

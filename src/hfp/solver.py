@@ -33,7 +33,7 @@ from .geometry import (
     norm,
 )
 from .fixtures import identity_map
-from .operators import MappingHandle, _integer, _power, _powers, nu_constant
+from .operators import MappingHandle, _integer, _lip_squared_terms, _power, _powers, nu_constant
 from .schedules import Schedule, _trend_ok, _trend_probes, validate_schedule
 
 FIX_POINT_TOL = 1e-6
@@ -159,8 +159,8 @@ def validate_problem(p: ProblemSpec) -> List[str]:
         violations.append("F must declare both L and eta")
     elif not p.mu > 0:
         violations.append("mu must be positive")
-    elif not p.mu < 2 * eta / lip**2:
-        violations.append(f"mu >= 2*eta/L^2 (mu={p.mu}, bound={2 * eta / lip**2})")
+    elif not p.mu < (bound := _lip_squared_terms(p.mu, eta, lip)[0]):
+        violations.append(f"mu >= 2*eta/L^2 (mu={p.mu}, bound={bound})")
     elif not p.rho >= 0:
         violations.append("rho must be nonnegative")
     elif p.rho > 0 and gamma is None:
@@ -185,17 +185,17 @@ def validate_problem(p: ProblemSpec) -> List[str]:
     if not p.T.maps_into_domain:
         violations.append(f"T = {p.T.name} is not a self-mapping of C")
 
-    if isinstance(p.C, Intersection):
-        try:
-            p.C.feasible_point()
-        except ProblemDefinitionError as exc:
-            violations.append(str(exc))
-
+    # an empty C is one violation: Fix(T) is not then probed against it
+    probes = [("", p.C)] if isinstance(p.C, Intersection) else []
     if p.T.meta.fix_set is not None:
+        probes.append((f"Fix(T) of T = {p.T.name} does not meet C: ",
+                       Intersection((p.T.meta.fix_set, p.C))))
+    for prefix, K in probes:
         try:
-            Intersection((p.T.meta.fix_set, p.C)).feasible_point()
+            K.feasible_point()
         except ProblemDefinitionError as exc:
-            violations.append(f"Fix(T) of T = {p.T.name} does not meet C: {exc}")
+            violations.append(f"{prefix}{exc}")
+            break
 
     try:
         failures = validate_schedule(p.schedule, p.T.meta.nearly_seq)

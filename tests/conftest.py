@@ -13,7 +13,8 @@ from hfp.geometry import (
     WholeSpace,
     sample,
 )
-from hfp.fixtures import identity_map, proj_affine, zero_map
+from hfp import problemfile
+from hfp.fixtures import identity_map, linear_map, proj_affine, sahu_step, zero_map
 from hfp.schedules import power_schedule
 from hfp.solver import FullPower, ProblemSpec, StopRule
 
@@ -78,3 +79,41 @@ def minnorm_problem():
         fix_points=[sample(line, rng) for _ in range(32)],
         reference=np.array([1.0, 1.0]),
     )
+
+
+# The problem file's fixtures, each with its parameters in dimension d and the
+# dimensions it allows; a fixture added to the catalog must be added here too.
+CATALOG = {
+    "identity": (lambda d: (), (1, 2, 3, 5, 8)),
+    "zero": (lambda d: (), (1, 2, 3, 5, 8)),
+    "constant": (lambda d: (np.linspace(-1.5, 2.0, d),), (1, 2, 3, 5, 8)),
+    "contraction": (lambda d: (0.7,), (1, 2, 3, 5, 8)),
+    "linear": (lambda d: (np.linspace(0.5, 3.0, d),), (1, 2, 3, 5, 8)),
+    "proj_affine": (lambda d: (np.arange(1.0, d + 1), 2.0), (1, 2, 3, 5, 8)),
+    "rotation": (lambda d: (0.7,), (2,)),
+    "averaged_rotation": (lambda d: (0.5, 0.3), (2,)),
+    "sahu_step": (lambda d: (), (1,)),
+}
+
+
+def catalog_fixture(name, C):
+    params, _ = CATALOG[name]
+    return problemfile._FIXTURES[name][1](C, *params(C.dim))
+
+
+def catalog_handles():
+    """Every catalog fixture over every domain kind whose sampler needs no
+    per-row projection, then ``linear_map`` and ``sahu_step`` on the kinds
+    of domain the hypotheses benchmark certifies them on."""
+    for name, (_, dims) in sorted(CATALOG.items()):
+        dim = 3 if 3 in dims else dims[0]
+        normal = np.arange(1.0, dim + 1)
+        domains = [WholeSpace(dim), Halfspace(normal, 2.0), Ball(np.zeros(dim), 10.0),
+                   Box(-np.ones(dim), np.ones(dim))]
+        domains += [AffineHyperplane(normal, 2.0)] if dim > 1 else []
+        for C in domains:
+            yield f"{name} on {type(C).__name__}", catalog_fixture(name, C)
+    A = np.diag([0.5, 3.0])
+    yield "linear on a 2-d halfspace", linear_map(Halfspace(np.array([1.0, -2.0]), 0.5), A)
+    yield "linear on a 2-d hyperplane", linear_map(AffineHyperplane(np.array([1.0, 1.0]), 1.0), A)
+    yield "sahu_step on [0, 1]", sahu_step()

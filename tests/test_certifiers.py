@@ -52,7 +52,7 @@ from hfp.operators import (
     power,
     zero_sequence,
 )
-from conftest import random_set
+from conftest import CATALOG, catalog_fixture, catalog_handles, random_set
 
 KINDS = ("ball", "box", "halfspace", "hyperplane", "intersection")
 SEEDS = (0, 1, 2)
@@ -384,26 +384,6 @@ def test_nonfinite_margin_fails_with_the_first_such_pair(threshold):
 
 # --------------------------------------------------------------- row kernels
 
-# The problem file's fixtures, each with its parameters in dimension d and the
-# dimensions it allows; a fixture added to the catalog must be added here too.
-CATALOG = {
-    "identity": (lambda d: (), (1, 2, 3, 5, 8)),
-    "zero": (lambda d: (), (1, 2, 3, 5, 8)),
-    "constant": (lambda d: (np.linspace(-1.5, 2.0, d),), (1, 2, 3, 5, 8)),
-    "contraction": (lambda d: (0.7,), (1, 2, 3, 5, 8)),
-    "linear": (lambda d: (np.linspace(0.5, 3.0, d),), (1, 2, 3, 5, 8)),
-    "proj_affine": (lambda d: (np.arange(1.0, d + 1), 2.0), (1, 2, 3, 5, 8)),
-    "rotation": (lambda d: (0.7,), (2,)),
-    "averaged_rotation": (lambda d: (0.5, 0.3), (2,)),
-    "sahu_step": (lambda d: (), (1,)),
-}
-
-
-def catalog_fixture(name, C):
-    params, _ = CATALOG[name]
-    return problemfile._FIXTURES[name][1](C, *params(C.dim))
-
-
 def test_the_row_kernel_catalog_is_the_problem_files():
     assert set(CATALOG) == set(problemfile._FIXTURES)
 
@@ -454,24 +434,6 @@ def test_project_rows_matches_project_row_by_row(dim):
         for count in (1, 7, len(X)):
             assert same_bits(C._project_rows(X[:count]), ref[:count]), (C, count)
     assert (X[1::8] @ normal - 2.0 == 0.0).all()
-
-
-def catalog_handles():
-    """Every catalog fixture over every domain kind whose sampler needs no
-    per-row projection, then ``linear_map`` and ``sahu_step`` on the kinds
-    of domain the hypotheses benchmark certifies them on."""
-    for name, (_, dims) in sorted(CATALOG.items()):
-        dim = 3 if 3 in dims else dims[0]
-        normal = np.arange(1.0, dim + 1)
-        domains = [WholeSpace(dim), Halfspace(normal, 2.0), Ball(np.zeros(dim), 10.0),
-                   Box(-np.ones(dim), np.ones(dim))]
-        domains += [AffineHyperplane(normal, 2.0)] if dim > 1 else []
-        for C in domains:
-            yield f"{name} on {type(C).__name__}", catalog_fixture(name, C)
-    A = np.diag([0.5, 3.0])
-    yield "linear on a 2-d halfspace", linear_map(Halfspace(np.array([1.0, -2.0]), 0.5), A)
-    yield "linear on a 2-d hyperplane", linear_map(AffineHyperplane(np.array([1.0, 1.0]), 1.0), A)
-    yield "sahu_step on [0, 1]", sahu_step()
 
 
 def five_certificates(h, samples=200, seed=3):

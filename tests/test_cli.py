@@ -469,11 +469,16 @@ class TestBadValues:
         )
         assert not (tmp_path / "t.csv").exists()
 
-    def test_one_point_domain_cannot_be_certified(self, capsys):
+    def test_sahu_step_off_its_fixed_point(self, capsys):
+        # T leaves [2, 3] and Fix(T) = {0.5} misses it: these two violations and no more
         argv = ["validate", str(PROBLEMS_DIR / "sahu_step.cfg")]
-        argv += ["--set", "set.lower=1", "--set", "problem.x1=1"]
+        argv += ["--set", "set.lower=2", "--set", "set.upper=3", "--set", "problem.x1=2.5"]
         assert cli.main(argv) == cli.EXIT_SEMANTIC
-        assert "violation: certifiers cannot run: degenerate domain" in capsys.readouterr().out
+        assert capsys.readouterr().out == (
+            "violation: T = sahu_step is not a self-mapping of C\n"
+            "violation: Fix(T) of T = sahu_step does not meet C: intersection feasibility "
+            "probe failed: probe point is not within every member set\n"
+        )
 
 
 class TestSelfMappings:
@@ -717,6 +722,11 @@ def test_failed_write_names_its_path(minnorm, capsys, command, flags):
         (["sweep", "{minnorm}", "--p-values", "0.5", "--set", "set.radius=-1"], cli.EXIT_SEMANTIC, "err", "invalid problem:"),
         (["run", "{minnorm}", "--max-iters", "5"], cli.EXIT_BUDGET, "out", "stop reason    : budget"),
         (["run", "{overflowing}"], cli.EXIT_NUMERIC, "err", "numeric failure:"),
+        # L^2 = 1e400 overflows and (1e-300)^2 underflows to 0 in the bound 2*eta/L^2
+        (["validate", "{minnorm}", "--set", "F.fixture=linear", "--set", "F.diag=1e200 1e200"],
+         cli.EXIT_SEMANTIC, "out", "violation: mu >= 2*eta/L^2 (mu=1.0, bound=2e-200)"),
+        (["run", "{minnorm}", "--set", "F.fixture=contraction", "--set", "F.k=1e-300"],
+         cli.EXIT_OK, "out", "stop reason    : step"),
     ],
 )
 def test_exit_codes_without_traceback(minnorm, tmp_path, argv, code, stream, text):
@@ -747,8 +757,6 @@ TANGENT = (
         # building V = 0 1 tests whether (0, 1) lies in C
         ("validate", "fixture = constant\nvalue = 0 1", "err", "invalid problem: Dykstra did not converge"),
         ("run", "fixture = constant\nvalue = 0 1", "err", "invalid problem: Dykstra did not converge"),
-        # (0, 0) projects at once, but the certifiers' sample points do not
-        ("validate", "fixture = zero", "out", "violation: certifiers cannot run: Dykstra did not converge"),
     ],
 )
 def test_unconverged_projection_on_tangent_balls(tmp_path, command, v_section, stream, text):
@@ -759,6 +767,29 @@ def test_unconverged_projection_on_tangent_balls(tmp_path, command, v_section, s
     rc, out, err = hfp_bench(command, problem, cwd=tmp_path)
     assert rc == cli.EXIT_SEMANTIC
     assert text in {"out": out, "err": err}[stream]
+
+
+@pytest.mark.parametrize(
+    "text, overrides, final_x",
+    [
+        # C = {0.5}, one point, where x1 and Fix(T) lie
+        ((PROBLEMS_DIR / "sahu_step.cfg").read_text(),
+         ["set.lower=0.5", "set.upper=0.5", "problem.x1=0.5"], "[0.5]"),
+        # V = 0 at (0, 0) projects at once; most points of C would not
+        (TANGENT, [], "[1.0, 0.0]"),
+    ],
+    ids=["one_point_sahu_step", "tangent_zero_v"],
+)
+def test_validate_agrees_with_run(tmp_path, text, overrides, final_x):
+    """``validate`` passes the problems ``run`` solves, in a fresh interpreter."""
+    problem = tmp_path / "problem.cfg"
+    problem.write_text(text)
+    sets = [arg for item in overrides for arg in ("--set", item)]
+    assert hfp_bench("validate", problem, *sets, cwd=tmp_path) == (cli.EXIT_OK, "valid\n", "")
+    rc, out, _ = hfp_bench("run", problem, *sets, "--set", "stop.tol_step=1e-10", cwd=tmp_path)
+    assert rc == cli.EXIT_OK
+    assert "stop reason    : step\niterations     : 1\n" in out
+    assert f"final x        : {final_x}\n" in out
 
 
 def _owners(fields, chain=()):

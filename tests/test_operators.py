@@ -34,10 +34,11 @@ from hfp.operators import (
     power,
     zero_sequence,
 )
-from hfp.schedules import Schedule, validate_schedule
+from hfp.schedules import Schedule, scalar_recursion, validate_schedule
 from hfp.solver import (
     FIX_POINT_TOL, FullPower, ProblemSpec, check_power_regularity, step, validate_problem,
 )
+from conftest import catalog_handles
 
 DOMAIN = Ball(np.zeros(2), 10.0)
 SCHEDULE = Schedule(1.0, 0.5, 1.0, 0.9)
@@ -251,6 +252,14 @@ class TestNuConstant:
         with pytest.raises(UsageError):
             nu_constant(0.0, 1.0, 1.0)
 
+    def test_extreme_constants(self):
+        # L^2 = 1e400 overflows and (1e-300)^2 underflows to 0; each used to
+        # raise a bare OverflowError or ZeroDivisionError
+        with pytest.raises(UsageError, match=r"^mu must lie in \(0, 2e-200\), got 1.0$"):
+            nu_constant(1.0, 1e200, 1e200)
+        assert nu_constant(1e-201, 1e200, 1e200) == pytest.approx(0.1)
+        assert nu_constant(1.0, 1e-300, 1e-300) == 0.0
+
 
 class TestCertifyYamada:
     def test_identity(self):
@@ -282,20 +291,33 @@ FIXTURES = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(FIXTURES))
+def _handles_by_fixture():
+    """``catalog_handles()``, grouped by the problem-file fixture each one is."""
+    groups = {}
+    for key, handle in catalog_handles():
+        groups.setdefault(key.partition(" on ")[0], []).append((key, handle))
+    return groups
+
+
+CATALOG_HANDLES = _handles_by_fixture()
+
+
+def test_self_certification_covers_every_problem_file_fixture():
+    assert set(CATALOG_HANDLES) == set(problemfile._FIXTURES)
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG_HANDLES))
 def test_fixture_metadata_self_certifies(name):
-    handle = FIXTURES[name]
-    meta = handle.meta
-    if meta.lipschitz is not None:
-        assert certify_lipschitz(handle, meta.lipschitz, samples=10**4, seed=0).passed
-    if meta.strong_monotone is not None:
-        assert certify_strong_monotone(
-            handle, meta.strong_monotone, samples=10**4, seed=0
-        ).passed
-    if meta.nearly_seq is not None:
-        assert certify_nearly_nonexpansive(
-            handle, meta.nearly_seq, 5, samples=2000, seed=0
-        ).passed
+    """The declared constants of a fixture, on every catalog domain kind, at
+    10^4 pairs: the one place the catalog's constants are certified."""
+    for key, handle in CATALOG_HANDLES[name]:
+        meta = handle.meta
+        if meta.lipschitz is not None:
+            assert certify_lipschitz(handle, meta.lipschitz, 10**4).passed, key
+        if meta.strong_monotone is not None:
+            assert certify_strong_monotone(handle, meta.strong_monotone, 10**4).passed, key
+        if meta.nearly_seq is not None and handle.maps_into_domain:
+            assert certify_nearly_nonexpansive(handle, meta.nearly_seq, 5, 10**4).passed, key
 
 
 @pytest.mark.parametrize(
@@ -469,8 +491,9 @@ RAW_HALF = dataclasses.replace(contraction(DOMAIN, 0.5), meta=OperatorMeta(lipsc
          "horizon = 1000.5"),
         (lambda: certify_lipschitz(RAW_HALF, 0.5, samples=10.5), "samples = 10.5"),
         (lambda: certify_nearly_nonexpansive(RAW_HALF, zero_sequence(), n_max=2.5), "n_max = 2.5"),
+        (lambda: scalar_recursion(1.0, [0.5] * 3, [0.1] * 3, 2.5), "N = 2.5"),
     ],
-    ids=["power", "raw_power", "step", "horizon", "samples", "n_max"],
+    ids=["power", "raw_power", "step", "horizon", "samples", "n_max", "N"],
 )
 def test_integer_parameters_must_be_integers(call, message):
     with pytest.raises(UsageError, match=f"^{re.escape(message)} is not an integer$"):

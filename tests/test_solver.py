@@ -325,6 +325,8 @@ class TestSolve:
         violations = validate_problem(make_spec(C=C, T=identity_map(C), x1=np.zeros(2)))
         assert "intersection feasibility probe failed: probe point is not within every " \
             "member set" in violations
+        # Fix(T) = C, whose own probe failed, is not probed against C again
+        assert sum("feasibility probe failed" in v for v in violations) == 1
 
     @pytest.mark.parametrize(
         "field, value",
