@@ -22,7 +22,6 @@ from .problemfile import (
     build_problem,
     parse_problem_file,
 )
-from .schedules import validate_schedule
 from .solver import (
     FullPower,
     ProblemSpec,
@@ -204,29 +203,19 @@ def cmd_sweep(args) -> int:
     # NaN compares false with everything, so it gets its own key to sort last
     grid.sort(key=lambda pq: [(math.isnan(v), v) for v in pq])
 
-    nearly = built.spec.T.meta.nearly_seq
-
     lines = ["p,q,status,iterations_to_tol,final_residual"]
     admissible = 0
-    # grid points differ only in a schedule each admissible one has passed, so
-    # validate_problem gives the same verdict at all of them
-    violations = None
     for p, q in grid:
         try:
             schedule = dataclasses.replace(built.spec.schedule, p=p, q=q)
-            failures = validate_schedule(schedule, nearly)
-        except UsageError as exc:
-            failures = [str(exc)]
-        if failures:
-            lines.append(f"{p!r},{q!r},rejected: {failures[0]},,")
-            continue
-        admissible += 1
-        spec = dataclasses.replace(built.spec, schedule=schedule)
-        if violations is None:
+            spec = dataclasses.replace(built.spec, schedule=schedule)
             violations = validate_problem(spec)
+        except UsageError as exc:
+            violations = [str(exc)]
         if violations:
             lines.append(f"{p!r},{q!r},rejected: {violations[0]},,")
             continue
+        admissible += 1
         try:
             result = solve(spec, built.stop, check_valid=False)
         except NumericError as exc:

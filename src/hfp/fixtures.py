@@ -38,21 +38,10 @@ def identity_map(domain: ConvexSet) -> MappingHandle:
     )
 
 
-def zero_map(domain: ConvexSet) -> MappingHandle:
+def _constant(domain: ConvexSet, c: np.ndarray, name: str) -> MappingHandle:
+    """x -> c; zero_map does not call constant_map, so a wrapped factory sees only its maps."""
     return MappingHandle(
-        name="zero",
-        evaluate=lambda x: np.zeros(domain.dim),
-        domain=domain,
-        maps_into_domain=domain.contains(np.zeros(domain.dim)),
-        meta=OperatorMeta(lipschitz=0.0, fix_set=_origin(domain.dim)),
-        rows=lambda n, X: np.zeros_like(X),
-    )
-
-
-def constant_map(domain: ConvexSet, value) -> MappingHandle:
-    c = vector(value)
-    return MappingHandle(
-        name="constant",
+        name=name,
         evaluate=lambda x: c.copy(),
         domain=domain,
         maps_into_domain=domain.contains(c),
@@ -61,6 +50,14 @@ def constant_map(domain: ConvexSet, value) -> MappingHandle:
         ),
         rows=lambda n, X: np.tile(c, (len(X), 1)),
     )
+
+
+def zero_map(domain: ConvexSet) -> MappingHandle:
+    return _constant(domain, np.zeros(domain.dim), "zero")
+
+
+def constant_map(domain: ConvexSet, value) -> MappingHandle:
+    return _constant(domain, vector(value), "constant")
 
 
 def contraction(domain: ConvexSet, k: float) -> MappingHandle:

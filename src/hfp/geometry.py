@@ -75,6 +75,8 @@ class ConvexSet:
             )
         return x
 
+    # once per call, not per step: a kernel may overflow on a huge finite point
+    @np.errstate(over="ignore")
     def project(self, x) -> np.ndarray:
         return self._project(self._checked(x))
 
@@ -125,6 +127,9 @@ class Ball(ConvexSet):
         r = _norm(d)
         if r <= self.radius:
             return x.copy()
+        if r == math.inf:  # d.dot(d) overflowed: scale d by its largest entry
+            s = float(np.abs(d).max())
+            r = s * _norm(d / s)
         return self.center + d * (self.radius / r)
 
 
@@ -162,9 +167,12 @@ class _Flat(ConvexSet):
 
     def __post_init__(self):
         object.__setattr__(self, "normal", vector(self.normal))
-        if np.linalg.norm(self.normal) == 0.0:
-            raise ProblemDefinitionError(f"{self._noun} normal must be nonzero")
-        object.__setattr__(self, "_aa", float(np.dot(self.normal, self.normal)))
+        with np.errstate(over="ignore", under="ignore"):
+            aa = float(self.normal.dot(self.normal))
+        if not 0.0 < aa < math.inf:
+            raise ProblemDefinitionError(f"{self._noun} normal must be nonzero, "
+                                         f"with a finite nonzero <normal, normal>, not {aa!r}")
+        object.__setattr__(self, "_aa", aa)
 
     @property
     def dim(self):
@@ -284,6 +292,7 @@ def project(convex_set: ConvexSet, x) -> np.ndarray:
     return convex_set.project(x)
 
 
+@np.errstate(over="ignore")
 def distance(convex_set: ConvexSet, x) -> float:
     """Distance from ``x`` to its projection onto ``convex_set``."""
     return convex_set._distance(convex_set._checked(x))

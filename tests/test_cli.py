@@ -546,14 +546,56 @@ class TestSelfMappings:
 
 
 class TestSweep:
-    def test_sweep_rejects_a_point_that_fails_the_problem(self, minnorm, tmp_path):
-        # p = 1.5 fails the schedule; p = 0.5 passes it and fails validate_problem
+    def test_sweep_rejects_a_point_that_fails_the_problem(self, minnorm, tmp_path, capsys):
+        # mu = 3 fails the problem at every (p, q), so no point is admissible,
+        # as validate and run of the problem exit 1
         out = tmp_path / "sweep.csv"
         argv = ["sweep", minnorm, "--p-values", "0.5", "1.5", "--set", "problem.mu=3"]
-        assert cli.main([*argv, "--out", str(out), "--quiet"]) == cli.EXIT_OK
-        assert out.read_text().splitlines()[1] == (
-            "0.5,0.9,rejected: mu >= 2*eta/L^2 (mu=3.0, bound=2.0),,"
-        )
+        assert cli.main([*argv, "--out", str(out), "--quiet"]) == cli.EXIT_SEMANTIC
+        assert "no admissible grid points" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "sets, p, q",
+        [
+            ([], 1.5, 1.9),
+            ([], 0.5, 0.5),  # beta0 > 0 with q <= p
+            (["problem.mu=3"], 0.5, 0.9),
+            (["problem.mu=3"], 1.5, 1.9),  # the problem's violation comes first
+            # validate refuses p = nan as a parse error, so p = 0 stands for the
+            # bad exponent; test_nan_exponent_row pins nan's row to the same text
+            ([], 0.0, 0.4),
+        ],
+    )
+    def test_sweep_rows_read_as_validate(self, minnorm, tmp_path, capsys, monkeypatch, sets, p, q):
+        """A row's status is "rejected: " and the first line validate prints at
+        its (p, q), without that line's label."""
+        overrides = [arg for s in sets for arg in ("--set", s)]
+        at = ["--set", f"schedule.p={p}", "--set", f"schedule.q={q}"]
+        assert cli.main(["validate", minnorm, *overrides, *at]) == cli.EXIT_SEMANTIC
+        out, err = capsys.readouterr()
+        expected = "rejected: " + (out or err).splitlines()[0].split(": ", 1)[1]
+
+        # no row is written when no point passes, so the verdicts are recorded too
+        judged, validate_problem = {}, cli.validate_problem
+
+        def spy(spec):
+            violations = judged[spec.schedule.p, spec.schedule.q] = validate_problem(spec)
+            return violations
+
+        monkeypatch.setattr(cli, "validate_problem", spy)
+        # (0.3, 0.7) passes when the problem does, so the CSV is written
+        csv = tmp_path / "sweep.csv"
+        grid = ["--p-values", str(p), "0.3", "--q-values", str(q), "0.7"]
+        code = cli.main(["sweep", minnorm, *overrides, *grid, "--max-iters", "10", "--out", str(csv), "--quiet"])
+        if sets:
+            assert code == cli.EXIT_SEMANTIC and not csv.exists()
+            assert all(violations for violations in judged.values())
+            assert "rejected: " + judged[p, q][0] == expected
+        else:
+            assert code == cli.EXIT_OK
+            rows = [line.split(",") for line in csv.read_text().splitlines()[1:]]
+            assert [row[2] for row in rows if row[:2] == [repr(p), repr(q)]] == [expected]
 
     def test_sweep_names_its_output_unless_quiet(self, minnorm, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
@@ -595,7 +637,7 @@ class TestSweep:
         args = ["--p-values", "0.2", "0.5", "0.9", "--q-values", "0.3", "0.6", "1.2"]
         code = cli.main(["sweep", minnorm, *args, "--max-iters", "200", "--out", str(out), "--quiet"])
         assert code == cli.EXIT_OK
-        beta = "rejected: beta_n / alpha_n -> 0 fails (beta0 > 0 and q <= p)"
+        beta = "rejected: schedule: beta_n / alpha_n -> 0 fails (beta0 > 0 and q <= p)"
         rows = [line.split(",")[:3] for line in out.read_text().splitlines()[1:]]
         assert rows == [
             ["0.2", "0.3", "ok"],
@@ -727,6 +769,14 @@ def test_failed_write_names_its_path(minnorm, capsys, command, flags):
          cli.EXIT_SEMANTIC, "out", "violation: mu >= 2*eta/L^2 (mu=1.0, bound=2e-200)"),
         (["run", "{minnorm}", "--set", "F.fixture=contraction", "--set", "F.k=1e-300"],
          cli.EXIT_OK, "out", "stop reason    : step"),
+        # a huge constant and a huge normal: <x, x> overflows in a norm
+        (["compare", "{minnorm}", "full_power", "--set", "F.fixture=constant", "--set", "F.value=1e200 1e200"],
+         cli.EXIT_SEMANTIC, "out", "violation (full_power): F must declare both L and eta"),
+        (["compare", "{minnorm}", "full_power", "--set", "F.fixture=proj_affine",
+          "--set", "F.normal=1e200 1e200", "--set", "F.offset=0"],
+         cli.EXIT_SEMANTIC, "err", "invalid problem: hyperplane normal must be nonzero"),
+        (["sweep", "{minnorm}", "--p-values", "0.5", "--set", "problem.mu=3"],
+         cli.EXIT_SEMANTIC, "err", "no admissible grid points"),
     ],
 )
 def test_exit_codes_without_traceback(minnorm, tmp_path, argv, code, stream, text):

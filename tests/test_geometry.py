@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -198,6 +199,14 @@ class TestConstruction:
         with pytest.raises(UsageError):
             project(Ball(np.zeros(2), 1.0), (1, 2, 3))
 
+    def test_ball_projects_a_huge_point(self):
+        # ||x|| overflowed to inf, so the projection used to be the centre
+        ball = Ball(np.zeros(2), 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert ball.project((1e200, 0.0)).tolist() == [1.0, 0.0]
+            assert not ball.contains((1e200, 0.0))
+
     def test_wholespace_identity(self):
         ws = WholeSpace(3)
         x = np.array([1.0, -2.0, 3.0])
@@ -221,8 +230,16 @@ def test_box_sample_is_rng_uniform_draw_for_draw(dim):
         (lambda: WholeSpace(0), "dimension must be positive"),
         (lambda: Box(np.zeros(2), np.ones(3)), "box bounds must share a dimension"),
         (lambda: Intersection(()), "intersection needs at least one member set"),
+        # <normal, normal> overflows to inf, or underflows to 0
+        (lambda: Halfspace((1e200, 1e200), 0.0), "halfspace normal must be nonzero, .*, not inf"),
+        (lambda: Halfspace((1e-200, 1e-200), 0.0), "halfspace normal must be nonzero, .*, not 0.0"),
+        (lambda: AffineHyperplane((1e200, 1e200), 0.0), "hyperplane normal must be nonzero, .*, not inf"),
+        (lambda: AffineHyperplane((1e-200, 1e-200), 0.0), "hyperplane normal must be nonzero, .*, not 0.0"),
     ],
-    ids=["wholespace_dim_0", "box_bound_lengths", "empty_intersection"],
+    ids=[
+        "wholespace_dim_0", "box_bound_lengths", "empty_intersection", "halfspace_1e200",
+        "halfspace_1e-200", "hyperplane_1e200", "hyperplane_1e-200",
+    ],
 )
 def test_set_rejects_a_bad_definition(build, message):
     with pytest.raises(ProblemDefinitionError, match=f"^{message}$"):

@@ -280,6 +280,13 @@ class TestSolve:
         with pytest.raises(NumericError, match="power budget exhausted: 101 raw evaluations exceed 100;"):
             step(spec, 101, spec.x1)
 
+    def test_zero_t_has_a_closed_form_power(self):
+        # T = zero used to walk n raw steps and exhaust the power budget at once
+        C = Ball(np.zeros(2), 10.0)
+        x = step(make_spec(T=zero_map(C)), 10**9, np.array([3.0, 4.0]))
+        assert x.tolist() == [0.0, 0.0]
+        assert not np.signbit(x).any()
+
     def test_nonfinite_iterate_raises_numeric_error(self):
         # with no numpy warning: pytest turns warnings into errors
         # a valid problem whose first step overflows: V x1 = 10 * 1e308
