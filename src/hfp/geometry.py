@@ -76,9 +76,13 @@ class ConvexSet:
         return x
 
     # once per call, not per step: a kernel may overflow on a huge finite point
-    @np.errstate(over="ignore")
+    @np.errstate(over="ignore", invalid="ignore")
     def project(self, x) -> np.ndarray:
-        return self._project(self._checked(x))
+        p = self._project(self._checked(x))
+        if not np.isfinite(p).all():
+            raise NumericError(f"the projection of a finite point onto {type(self).__name__} "
+                               f"overflowed to {p.tolist()}")
+        return p
 
     def _project(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError

@@ -33,11 +33,15 @@ from .geometry import (
     norm,
 )
 from .fixtures import identity_map
-from .operators import MappingHandle, _integer, _lip_squared_terms, _power, _powers, nu_constant
+from .operators import (
+    MappingHandle, _evaluate_rows, _integer, _lip_squared_terms, _norms, _power, _powers,
+    nu_constant,
+)
 from .schedules import Schedule, _trend_ok, _trend_probes, validate_schedule
 
 FIX_POINT_TOL = 1e-6
 POWER_BUDGET = 10**8  # raw T evaluations one solve or step may spend
+_BLOCK_FLOATS = 16384  # floats that one block of solve's pending iterates may hold
 
 
 @dataclass(frozen=True)
@@ -294,6 +298,10 @@ def solve(
             raise ProblemDefinitionError("; ".join(violations))
 
     probed = p.fix_points is not None
+    # a residual that a set stop rule reads is computed per iteration; the
+    # others are filled in blocks of pending iterates, through the row kernels
+    vi_now = stop.tol_vi is not None and probed
+    fix_now = stop.tol_fix is not None or vi_now  # the vi rule reads fix_residual too
     x = p.x1
     trace = Trace(
         *(array("d") for _ in range(4)),
@@ -301,6 +309,24 @@ def solve(
         array("d") if p.reference is not None else None,
         array("q") if collect_timing else None,
     )
+    # a block holds its iterates and their inner products with the fix points
+    floats_per_row = x.size + (len(p.fix_points) if probed else 0)
+    pending, block = [], max(1, _BLOCK_FLOATS // floats_per_row)
+
+    def flush():
+        X = np.array(pending)
+        pending.clear()
+        if not fix_now:
+            trace.fix_residual.extend(_norms(X - _evaluate_rows(p.T, X)).tolist())
+        if probed and not vi_now:
+            W = p.rho * _evaluate_rows(p.V, X) - p.mu * _evaluate_rows(p.F, X)
+            # the stacked matmul has the bits of fix_points @ w per row; W @ fix_points.T does not
+            worst = (p.fix_points @ W[:, :, None])[..., 0].max(axis=1) - np.vecdot(X, W)
+            # max(0.0, worst) to the bit, where worst is NaN or -0.0 too
+            trace.vi_residual.extend(np.where(worst > 0.0, worst, 0.0).tolist())
+        if p.reference is not None:
+            trace.dist_to_reference.extend(_norms(X - p.reference).tolist())
+
     reason = "budget"
     n = 0
     for n in range(1, stop.max_iters + 1):
@@ -309,20 +335,20 @@ def solve(
         # iterations 1..n of FullPower walk n*(n+1)/2 raw steps in all
         x_next = _step(p, n, x, alpha, beta, n * (n + 1) // 2)
         step_norm = _norm(x_next - x)
-        fix_res = _norm(x_next - np.asarray(p.T.evaluate(x_next), dtype=float))
-        vi = _vi_residual(x_next, p) if probed else None
-        dist = _norm(x_next - p.reference) if p.reference is not None else None
-        elapsed = time.perf_counter_ns() - t0 if collect_timing else None
+        if fix_now:
+            fix_res = _norm(x_next - np.asarray(p.T.evaluate(x_next), dtype=float))
+            trace.fix_residual.append(fix_res)
+        if vi_now:
+            vi = _vi_residual(x_next, p)
+            trace.vi_residual.append(vi)
+        if collect_timing:
+            trace.elapsed_ns.append(time.perf_counter_ns() - t0)
         trace.alpha.append(alpha)
         trace.beta.append(beta)
         trace.step_norm.append(step_norm)
-        trace.fix_residual.append(fix_res)
-        if probed:
-            trace.vi_residual.append(vi)
-        if dist is not None:
-            trace.dist_to_reference.append(dist)
-        if collect_timing:
-            trace.elapsed_ns.append(elapsed)
+        pending.append(x_next)
+        if len(pending) == block:
+            flush()
         x = x_next
         if stop.tol_step is not None and step_norm <= stop.tol_step:
             reason = "step"
@@ -331,10 +357,11 @@ def solve(
             reason = "fix"
             break
         # the VI is posed over Fix(T): its gap proves nothing off a fixed point
-        if stop.tol_vi is not None and vi is not None and vi <= stop.tol_vi:
-            if fix_res <= FIX_POINT_TOL:
-                reason = "vi"
-                break
+        if vi_now and vi <= stop.tol_vi and fix_res <= FIX_POINT_TOL:
+            reason = "vi"
+            break
+    if pending:
+        flush()
     return SolveReport(final_x=x, stop_reason=reason, iterations=n, trace=trace)
 
 

@@ -14,6 +14,7 @@ from hfp.geometry import (
     DykstraError,
     Halfspace,
     Intersection,
+    NumericError,
     ProblemDefinitionError,
     UsageError,
     WholeSpace,
@@ -206,6 +207,17 @@ class TestConstruction:
             warnings.simplefilter("error")
             assert ball.project((1e200, 0.0)).tolist() == [1.0, 0.0]
             assert not ball.contains((1e200, 0.0))
+
+    @pytest.mark.parametrize("convex_set, x", [
+        (Halfspace((1.0, 1.0), 0.0), (1e308, 1e308)),  # <normal, x> overflows
+        (AffineHyperplane((1.0, 1.0), 0.0), (1e308, 1e308)),
+        (Ball((-1e308, 0.0), 1.0), (1e308, 0.0)),  # x - center overflows
+    ], ids=["halfspace", "hyperplane", "ball"])
+    def test_an_overflowing_projection_is_a_numeric_error(self, convex_set, x):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match="projection of a finite point .* overflowed"):
+                convex_set.project(x)
 
     def test_wholespace_identity(self):
         ws = WholeSpace(3)

@@ -3,14 +3,17 @@
 The kernels (``_project``, ``_distance``, ``_norm``, ``_power``) skip input
 validation, so they must compute exactly what the checked entry points
 compute: bit for bit, on seeded inputs.  ``solve`` runs on kernels only; its
-rows must equal a replay through the public ``step``, ``norm`` and
+rows, including the residual columns it fills in blocks through the row
+kernels, must equal a replay through the public ``step``, ``norm`` and
 ``vi_residual``.
 """
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
 
+from hfp import problemfile
 from hfp.fixtures import contraction, identity_map, sahu_step, zero_map
 from hfp.geometry import (
     MEMBERSHIP_TOL,
@@ -28,15 +31,17 @@ from hfp.geometry import (
 )
 from hfp.operators import MappingHandle, _power, power
 from hfp.schedules import power_schedule
+from hfp import solver
 from hfp.solver import (
     FullPower,
     ProblemSpec,
+    Single,
     TraceRow,
     solve,
     step,
     vi_residual,
 )
-from conftest import SET_KINDS, budget_stop, random_set
+from conftest import CATALOG, SET_KINDS, budget_stop, catalog_fixture, random_set
 
 
 @pytest.mark.parametrize("kind", SET_KINDS)
@@ -234,6 +239,43 @@ def _replay(p, report):
     assert np.array_equal(x, report.final_x)
 
 
+def _block(p):
+    """The pending iterates that ``solve`` fills residuals for at once, on ``p``."""
+    return max(1, solver._BLOCK_FLOATS // (p.C.dim + len(p.fix_points)))
+
+
+def _catalog_problem(name, role):
+    """A catalog fixture as T, V or F of a Single-mode problem on a ball, with
+    several fix points and a reference."""
+    dim = _catalog_dim(name)
+    C = Ball(np.zeros(dim), 10.0)
+    rng = np.random.default_rng(len(name))
+    p = dataclasses.replace(
+        _spec(C, contraction(C, 0.9), rng.uniform(-2.0, 2.0, dim), np.zeros(dim)),
+        V=contraction(C, 0.5),
+        rho=0.5,
+        mode=Single(),
+        fix_points=rng.uniform(-3.0, 3.0, (5, dim)),
+        reference=rng.uniform(-1.0, 1.0, dim),
+    )
+    return dataclasses.replace(p, **{role: catalog_fixture(name, C)})
+
+
+def _catalog_dim(name):
+    dims = CATALOG[name][1]
+    return 3 if 3 in dims else dims[0]
+
+
+def _raw_single():
+    """T, V and F as user-built handles with no ``rows`` kernel."""
+    C = Ball(np.zeros(2), 10.0)
+    T = MappingHandle("halve", lambda x: 0.5 * x, C, False)
+    V = MappingHandle("shift", lambda x: x + 1.0, C, False)
+    F = MappingHandle("lift", lambda x: 2.0 * x - 1.0, C, False)
+    p = _spec(C, T, [3.0, -4.0], [0.0, 0.0], reference=np.array([0.5, 0.5]))
+    return dataclasses.replace(p, V=V, F=F, rho=0.25, mode=Single())
+
+
 @pytest.mark.parametrize(
     "make, iters",
     [("minnorm", 3000), (_sahu, 3000), (_raw_power_intersection, 40)],
@@ -243,4 +285,39 @@ def test_solve_rows_equal_a_checked_replay(make, iters, request):
     p = request.getfixturevalue("minnorm_problem") if make == "minnorm" else make()
     report = solve(p, budget_stop(iters))
     assert report.iterations == iters
+    _replay(p, report)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [_raw_single]
+    + [functools.partial(_catalog_problem, name, role)
+       for name in sorted(problemfile._FIXTURES) for role in "TVF"],
+    ids=["raw_single"]
+    + [f"{name}_as_{role}" for name in sorted(problemfile._FIXTURES) for role in "TVF"],
+)
+def test_solve_rows_equal_a_checked_replay_across_the_catalog(make, monkeypatch):
+    # blocks of a few dozen iterates, so that a short run ends inside its third
+    monkeypatch.setattr(solver, "_BLOCK_FLOATS", 300)
+    p = make()
+    iters = 5 * _block(p) // 2
+    # the kernels do not read the hypotheses, so these problems need not meet them
+    report = solve(p, budget_stop(iters), check_valid=False)
+    assert report.iterations == iters
+    _replay(p, report)
+
+
+@pytest.mark.parametrize("tol, p_exp, reason", [("tol_fix", 0.5, "fix"), ("tol_vi", 2.0, "vi")])
+def test_a_stop_inside_a_block_keeps_the_budget_runs_rows(minnorm_problem, tol, p_exp, reason):
+    # on minnorm x_{n+1} = (1 - alpha_n)(1, 1) from n = 2: the fix residual is
+    # sqrt(2) alpha_n and the VI gap is 0, so tol_vi fires once alpha_n <= 1e-6 / sqrt(2);
+    # alpha_n = n^-2 brings that about soon, but is not a valid schedule
+    p = dataclasses.replace(minnorm_problem, schedule=power_schedule(1.0, p_exp, 1.0, 0.9))
+    block = _block(p)
+    rule = dataclasses.replace(budget_stop(10**4), **{tol: 0.05 if tol == "tol_fix" else 1e-8})
+    report = solve(p, rule, check_valid=False)
+    assert report.stop_reason == reason
+    assert report.iterations > block and report.iterations % block != 0
+    budget = solve(p, budget_stop(report.iterations + block), check_valid=False)
+    assert list(report.trace) == budget.trace[: report.iterations]
     _replay(p, report)

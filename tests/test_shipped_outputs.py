@@ -29,6 +29,9 @@ PROBLEMS = sorted(path.name for path in PROBLEMS_DIR.glob("*.cfg"))
 COMMANDS = {
     "validate": ["validate", "{problem}"],
     "run": ["run", "{problem}", "--seed", "7", "--max-iters", "3000"],
+    # the shipped problems set tol_fix = tol_vi = none; these runs compute them per iteration
+    "run_stops": ["run", "{problem}", "--seed", "7", "--max-iters", "3000",
+                  "--set", "stop.tol_fix=1e-8", "--set", "stop.tol_vi=1e-8"],
     "compare": ["compare", "{problem}", "full_power", "wang_xu", "ceng", "sahu", "--max-iters", "2000"],
     "sweep": ["sweep", "{problem}", "--p-values", "0.3", "0.5", "0.7", "1.5", "--max-iters", "2000"],
 }
