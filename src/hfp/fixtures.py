@@ -144,6 +144,8 @@ def proj_affine(domain: ConvexSet, normal, offset: float) -> MappingHandle:
 
 
 def _rotation_matrix(theta: float) -> np.ndarray:
+    if not math.isfinite(theta):
+        raise ProblemDefinitionError(f"rotation angle must be finite, not {theta!r}")
     c, s = math.cos(theta), math.sin(theta)
     return np.array([[c, -s], [s, c]])
 

@@ -177,6 +177,8 @@ class _Flat(ConvexSet):
             raise ProblemDefinitionError(f"{self._noun} normal must be nonzero, "
                                          f"with a finite nonzero <normal, normal>, not {aa!r}")
         object.__setattr__(self, "_aa", aa)
+        if not math.isfinite(self.offset):
+            raise ProblemDefinitionError(f"{self._noun} offset must be finite, not {self.offset!r}")
 
     @property
     def dim(self):
@@ -296,10 +298,11 @@ def project(convex_set: ConvexSet, x) -> np.ndarray:
     return convex_set.project(x)
 
 
-@np.errstate(over="ignore")
+@np.errstate(over="ignore", invalid="ignore")
 def distance(convex_set: ConvexSet, x) -> float:
-    """Distance from ``x`` to its projection onto ``convex_set``."""
-    return convex_set._distance(convex_set._checked(x))
+    """Distance from ``x`` to its projection onto ``convex_set``; inf if it overflows."""
+    d = convex_set._distance(convex_set._checked(x))
+    return math.inf if d != d else d
 
 
 def _sample_rows(convex_set: ConvexSet, rng: np.random.Generator, n: int) -> np.ndarray:

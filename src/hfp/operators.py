@@ -61,10 +61,10 @@ class OperatorMeta:
     fix_set: Optional[ConvexSet] = None  # Fix(T), as the catalog fixtures declare it
 
     def __post_init__(self):
-        if self.lipschitz is not None and self.lipschitz < 0:
+        if self.lipschitz is not None and not self.lipschitz >= 0:  # NaN fails it too
             raise UsageError("a Lipschitz constant must be nonnegative")
         if self.strong_monotone is not None:
-            if self.strong_monotone <= 0:
+            if not self.strong_monotone > 0:
                 raise UsageError("a strong-monotonicity modulus must be positive")
             if self.lipschitz is None:
                 raise UsageError(
@@ -117,35 +117,29 @@ def power(T: MappingHandle, n: int, x: np.ndarray) -> np.ndarray:
     return _power(T, n, T.domain._checked(x))
 
 
-def _power(T: MappingHandle, n: int, x: np.ndarray, start: int = 0) -> np.ndarray:
-    """Kernel of :func:`power`.  Raw iterates of a self-mapping are tested
-    for membership after every step; a non-finite one fails the test without
-    a numpy warning, on an ``Intersection`` too, whose ``_distance`` is then
-    NaN at once.  Its error counts steps from ``start + 1``, for a walk
-    resumed at T^start x."""
+def _power(T: MappingHandle, n: int, x: np.ndarray) -> np.ndarray:
+    """Kernel of :func:`power`: the closed form, or else a raw walk of :func:`_powers`."""
     cf = T.meta.closed_form_power
     if cf is not None:
         return np.asarray(cf(n, x), dtype=float)
-    y = x
-    with np.errstate(over="ignore", invalid="ignore"):  # a huge iterate overflows, inf * 0
-        for k in range(start + 1, start + n + 1):
-            y = np.asarray(T.evaluate(y), dtype=float)
-            if T.maps_into_domain and not T.domain._distance(y) <= MEMBERSHIP_TOL:
-                raise NumericError(
-                    f"iterate of {T.name} left its domain at power step {k}"
-                )
-    return y
+    return _powers(T, (n,), x)[n]
 
 
 def _powers(T: MappingHandle, ns, x: np.ndarray) -> dict:
     """{n: T^n x} for ascending positive ``ns``: one closed-form call each, or
-    one raw walk to max(ns) that matches separate :func:`_power` calls."""
+    one raw walk to max(ns) that tests each iterate of a self-mapping for
+    membership.  A non-finite one fails the test without a numpy warning, on
+    an ``Intersection`` too, whose ``_distance`` is then NaN at once."""
     if T.meta.closed_form_power is not None:
         return {n: _power(T, n, x) for n in ns}
-    kept, done = {}, 0
-    for n in ns:
-        x = kept[n] = _power(T, n - done, x, done)
-        done = n
+    kept, wanted = {}, set(ns)
+    with np.errstate(over="ignore", invalid="ignore"):  # a huge iterate overflows, inf * 0
+        for k in range(1, max(ns) + 1):
+            x = np.asarray(T.evaluate(x), dtype=float)
+            if T.maps_into_domain and not T.domain._distance(x) <= MEMBERSHIP_TOL:
+                raise NumericError(f"iterate of {T.name} left its domain at power step {k}")
+            if k in wanted:
+                kept[k] = x
     return kept
 
 

@@ -315,7 +315,10 @@ def build_problem(raw: RawConfig) -> BuiltProblem:
         if seed < 0:
             raise ProblemFileSemanticError(f"problem.seed = {seed} is below 0")
         fix_set, rng = T.meta.fix_set, np.random.default_rng(seed)
-        fix_points = None if fix_set is None else _sample_rows(fix_set, rng, N_FIX_PROBES)
+        with np.errstate(over="ignore", invalid="ignore"):  # a draw may overflow
+            fix_points = None if fix_set is None else _sample_rows(fix_set, rng, N_FIX_PROBES)
+        if fix_points is not None and not np.isfinite(fix_points).all():
+            raise ProblemFileSemanticError(f"a point drawn from Fix(T) of T = {T.name} is not finite")
         base = ProblemSpec(
             C=C, T=T, S=S, V=V, F=F, rho=rho, mu=mu, schedule=schedule, mode=FullPower(),
             x1=x1, fix_points=fix_points, reference=reference, seed=seed,

@@ -250,6 +250,24 @@ class TestRun:
         assert rc == cli.EXIT_NUMERIC
         assert "numeric failure: iteration 1 produced [inf, inf]" in err
 
+    @pytest.mark.parametrize(
+        "argv, code, out, err",
+        [
+            # x1 - center overflows in the ball's membership test
+            (["validate", "--set", "set.center=-1e308 0", "--set", "problem.x1=1e308 0"],
+             cli.EXIT_SEMANTIC, "violation: initial point x1 is not in C\n", ""),
+            # <normal, normal> = 2e-320, so a projection onto T's plane overflows
+            (["run", "--set", "T.normal=1e-160 1e-160"], cli.EXIT_SEMANTIC, "",
+             "invalid problem: a point drawn from Fix(T) of T = proj_affine is not finite\n"),
+        ],
+        ids=["validate_huge_point", "run_unsampleable_fix_set"],
+    )
+    def test_a_huge_point_gives_no_numpy_warning(self, tmp_path, argv, code, out, err):
+        minnorm = PROBLEMS_DIR / "minnorm.cfg"
+        rc, stdout, stderr = hfp_bench(argv[0], minnorm, *argv[1:], cwd=tmp_path)
+        assert rc == code and stderr == err
+        assert stdout.startswith(out)
+
     @pytest.mark.parametrize("flags", [[], ["-W", "error"]])
     def test_overflow_gives_no_numpy_warning(self, tmp_path, flags):
         # numpy's overflow warning must neither precede the message nor,

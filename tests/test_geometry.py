@@ -219,6 +219,14 @@ class TestConstruction:
             with pytest.raises(NumericError, match="projection of a finite point .* overflowed"):
                 convex_set.project(x)
 
+    def test_an_overflowing_distance_is_inf(self):
+        # x - center overflows, and the ball's rescaling meets inf / inf
+        ball = Ball((-1e308, 0.0), 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert distance(ball, (1e308, 0.0)) == math.inf
+            assert not ball.contains((1e308, 0.0))
+
     def test_wholespace_identity(self):
         ws = WholeSpace(3)
         x = np.array([1.0, -2.0, 3.0])
@@ -247,10 +255,13 @@ def test_box_sample_is_rng_uniform_draw_for_draw(dim):
         (lambda: Halfspace((1e-200, 1e-200), 0.0), "halfspace normal must be nonzero, .*, not 0.0"),
         (lambda: AffineHyperplane((1e200, 1e200), 0.0), "hyperplane normal must be nonzero, .*, not inf"),
         (lambda: AffineHyperplane((1e-200, 1e-200), 0.0), "hyperplane normal must be nonzero, .*, not 0.0"),
+        (lambda: Halfspace((1.0, 1.0), math.nan), "halfspace offset must be finite, not nan"),
+        (lambda: AffineHyperplane((1.0, 1.0), -math.inf), "hyperplane offset must be finite, not -inf"),
     ],
     ids=[
         "wholespace_dim_0", "box_bound_lengths", "empty_intersection", "halfspace_1e200",
-        "halfspace_1e-200", "hyperplane_1e200", "hyperplane_1e-200",
+        "halfspace_1e-200", "hyperplane_1e200", "hyperplane_1e-200", "halfspace_nan_offset",
+        "hyperplane_inf_offset",
     ],
 )
 def test_set_rejects_a_bad_definition(build, message):

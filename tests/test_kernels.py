@@ -29,7 +29,7 @@ from hfp.geometry import (
     norm,
     project,
 )
-from hfp.operators import MappingHandle, _power, power
+from hfp.operators import MappingHandle, _power, _powers, power
 from hfp.schedules import power_schedule
 from hfp import solver
 from hfp.solver import (
@@ -105,6 +105,24 @@ def test_raw_power_rejects_a_nonfinite_iterate():
             blowup = MappingHandle("blowup", lambda x: np.full(3, value), domain, True)
             with pytest.raises(NumericError, match="left its domain at power step 1"):
                 power(blowup, 3, np.zeros(3))
+
+
+def test_one_raw_walk_gives_every_power():
+    C = Ball(np.zeros(2), 10.0)
+    M = np.array([[0.6, -0.3], [0.3, 0.6]])
+    T = MappingHandle("spiral", lambda x: M @ x, C, True)
+    x = np.array([3.0, -4.0])
+    walked = _powers(T, (2, 5, 9), x)
+    assert list(walked) == [2, 5, 9]
+    for n, y in walked.items():
+        assert np.array_equal(y, _power(T, n, x))  # a separate walk, bit for bit
+
+
+def test_a_raw_walk_counts_its_steps_from_the_start():
+    # x + 0.25 leaves [0, 1] at its fourth step, past the first kept power
+    escape = MappingHandle("escape", lambda x: x + 0.25, Box(np.zeros(1), np.ones(1)), True)
+    with pytest.raises(NumericError, match="^iterate of escape left its domain at power step 4$"):
+        _powers(escape, (2, 5), np.array([0.1]))
 
 
 def _intersections(rng, d):

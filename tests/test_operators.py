@@ -408,9 +408,14 @@ PLANE = Box(np.zeros(1), np.ones(1))  # a 1-d domain, for the planar fixtures
         (lambda: averaged_rotation(PLANE, 0.5, 0.3), "averaged_rotation is a planar fixture (dim 2)"),
         (lambda: averaged_rotation(DOMAIN, 1.0, 0.3), "averaging weight must lie in (0, 1)"),
         (lambda: averaged_rotation(DOMAIN, 0.0, 0.3), "averaging weight must lie in (0, 1)"),
+        (lambda: rotation(DOMAIN, math.nan), "rotation angle must be finite, not nan"),
+        (lambda: rotation(DOMAIN, math.inf), "rotation angle must be finite, not inf"),
+        (lambda: averaged_rotation(DOMAIN, 0.5, math.nan), "rotation angle must be finite, not nan"),
+        (lambda: averaged_rotation(DOMAIN, 0.5, -math.inf), "rotation angle must be finite, not -inf"),
     ],
     ids=["negative_k", "non_square", "non_symmetric", "no_positive_eigenvalue",
-         "rotation_dim", "averaged_rotation_dim", "lam_one", "lam_zero"],
+         "rotation_dim", "averaged_rotation_dim", "lam_one", "lam_zero", "rotation_nan",
+         "rotation_inf", "averaged_rotation_nan", "averaged_rotation_inf"],
 )
 def test_fixture_rejects_bad_parameters(build, message):
     with pytest.raises(ProblemDefinitionError, match=f"^{re.escape(message)}$"):
@@ -422,6 +427,9 @@ def test_fixture_rejects_bad_parameters(build, message):
     [
         (lambda: OperatorMeta(lipschitz=-1.0), "a Lipschitz constant must be nonnegative"),
         (lambda: OperatorMeta(lipschitz=1.0, strong_monotone=0.0),
+         "a strong-monotonicity modulus must be positive"),
+        (lambda: OperatorMeta(lipschitz=math.nan), "a Lipschitz constant must be nonnegative"),
+        (lambda: OperatorMeta(lipschitz=2.0, strong_monotone=math.nan),
          "a strong-monotonicity modulus must be positive"),
         (lambda: certify_lipschitz(identity_map(DOMAIN), -1.0),
          "claimed Lipschitz constant must be nonnegative"),
@@ -435,8 +443,9 @@ def test_fixture_rejects_bad_parameters(build, message):
         (lambda: certify_yamada_contraction(rotation(DOMAIN, 0.3), 0.5, 1.0),
          "F must declare Lipschitz and strong-monotonicity constants"),
     ],
-    ids=["negative_lipschitz", "zero_modulus", "claimed_lipschitz", "claimed_modulus", "n_max",
-         "combined_v_without_gamma", "nu_eta", "nu_lipschitz", "yamada_f_without_constants"],
+    ids=["negative_lipschitz", "zero_modulus", "nan_lipschitz", "nan_modulus", "claimed_lipschitz",
+         "claimed_modulus", "n_max", "combined_v_without_gamma", "nu_eta", "nu_lipschitz",
+         "yamada_f_without_constants"],
 )
 def test_operator_rejects_bad_arguments(call, message):
     with pytest.raises(UsageError, match=f"^{re.escape(message)}$"):

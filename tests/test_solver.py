@@ -29,7 +29,7 @@ from hfp.geometry import (
     norm,
     sample,
 )
-from hfp.operators import MappingHandle
+from hfp.operators import MappingHandle, OperatorMeta
 from hfp.schedules import power_schedule
 from hfp import solver
 from hfp.solver import (
@@ -113,8 +113,16 @@ class TestValidateProblem:
         assert any("schedule" in v for v in validate_problem(spec))
 
     def test_bogus_fixed_point(self):
-        spec = make_spec(fix_points=[[5.0, 5.0]])
-        assert any("residual" in v for v in validate_problem(spec))
+        # T projects onto x + y = 2: (1, 1) is fixed, and the first bad point is named
+        spec = make_spec(fix_points=[[1.0, 1.0], [5.0, 5.0], [6.0, 6.0]])
+        assert validate_problem(spec) == ["declared fixed point [5.0, 5.0] has residual 5.657e+00"]
+
+    def test_a_nan_residual_is_a_violation(self):
+        # a NaN residual is not <= FIX_POINT_TOL, so it fails the check
+        C = Ball(np.zeros(2), 10.0)
+        T = MappingHandle("nan", lambda x: np.full(2, np.nan), C, True, OperatorMeta(lipschitz=1.0))
+        spec = make_spec(T=T, fix_points=[[1.0, 1.0]])
+        assert validate_problem(spec) == ["declared fixed point [1.0, 1.0] has residual nan"]
 
     def test_missing_f_metadata(self):
         C = Ball(np.zeros(2), 10.0)
