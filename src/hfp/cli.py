@@ -278,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("problem")
     _add_common(p_sweep)
     p_sweep.add_argument("--p-values", type=float, nargs="+", required=True)
-    p_sweep.add_argument("--q-values", type=float, nargs="*", default=None)
+    p_sweep.add_argument("--q-values", type=float, nargs="+", default=None)
     p_sweep.add_argument("--q-offset", type=float, default=0.4)
     p_sweep.add_argument("--out", default=None)
 

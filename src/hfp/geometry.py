@@ -222,9 +222,12 @@ class AffineHyperplane(_Flat):
 class Intersection(ConvexSet):
     """Intersection of catalog sets, projected via Dykstra's algorithm.
 
-    Nonemptiness is caller-asserted; :meth:`feasible_point` probes it.  A
-    member that is itself an intersection is replaced by its members, in
-    order, so Dykstra runs one loop over catalog sets.
+    ``project`` and ``contains`` assume the set is nonempty.  On an empty
+    intersection they return or accept a best-approximation point:
+    ``Intersection((Box([0.5], [0.5]), Box([2], [3]))).contains([2.0])`` is
+    True.  Only :meth:`feasible_point` detects emptiness.  A member that is
+    itself an intersection is replaced by its members, in order, so Dykstra
+    runs one loop over catalog sets.
     """
 
     members: tuple

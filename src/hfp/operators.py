@@ -1,11 +1,12 @@
 """Evaluatable mappings with declared analytic metadata and numeric certifiers.
 
 A certifier draws seeded random pairs from the mapping's domain and checks a
-declared inequality (Lipschitz bound, strong monotonicity, near
-nonexpansiveness, combined-operator monotonicity, contraction factor).  A
-passing certificate is sampled evidence, not a proof; a failing one always
-carries a witness pair that re-violates the inequality, or again gives a
-non-finite margin, on direct evaluation.
+declared inequality: a Lipschitz bound, strong monotonicity or near
+nonexpansiveness.  The two lemma certificates check the first two on the
+composed maps mu*F - rho*V and I - lam*mu*F.  A passing certificate is
+sampled evidence, not a proof; a failing one always carries a witness pair
+that re-violates the inequality, or again gives a non-finite margin, on
+direct evaluation.
 """
 from __future__ import annotations
 
@@ -186,6 +187,11 @@ def _evaluate_rows(M: MappingHandle, X: np.ndarray) -> np.ndarray:
     return _rows(M.evaluate, X) if M.rows is None else M.rows(1, X)
 
 
+def _row_map(name: str, domain: ConvexSet, g: Callable) -> MappingHandle:
+    """The mapping whose row kernel is ``g``, as a lemma certificate composes it."""
+    return MappingHandle(name, lambda x: g(x[None])[0], domain, False, rows=lambda n, X: g(X))
+
+
 def _norms(D: np.ndarray) -> np.ndarray:
     """Euclidean norms along the last axis, bit-identical to a per-row ``norm``."""
     return np.sqrt(np.vecdot(D, D))
@@ -280,15 +286,9 @@ def certify_combined_monotone(
         raise UsageError("V must declare a Lipschitz constant")
     if not 0 <= rho * gamma < mu * eta:
         raise UsageError("need 0 <= rho*gamma < mu*eta for a positive modulus")
-    modulus = mu * eta - rho * gamma
-    X, Y = _sample_pairs(F.domain, samples, seed)
-    D = X - Y
-
-    def g(Z):
-        return mu * _evaluate_rows(F, Z) - rho * _evaluate_rows(V, Z)
-
-    margins = modulus * np.vecdot(D, D) - np.vecdot(g(X) - g(Y), D)
-    return _certify(margins, X, Y, seed)
+    G = _row_map(f"{mu}*{F.name} - {rho}*{V.name}", F.domain,
+                 lambda X: mu * _evaluate_rows(F, X) - rho * _evaluate_rows(V, X))
+    return certify_strong_monotone(G, mu * eta - rho * gamma, samples, seed)
 
 
 def _lip_squared_terms(mu: float, eta: float, lip: float) -> tuple:
@@ -328,8 +328,5 @@ def certify_yamada_contraction(
         raise UsageError("F must declare Lipschitz and strong-monotonicity constants")
     if not 0 < lam < 1:
         raise UsageError("lambda must lie strictly inside (0, 1)")
-    factor = 1.0 - lam * nu_constant(mu, eta, lip)
-    X, Y = _sample_pairs(F.domain, samples, seed)
-    GX = X - lam * mu * _evaluate_rows(F, X)
-    GY = Y - lam * mu * _evaluate_rows(F, Y)
-    return _certify(_norms(GX - GY) - factor * _norms(X - Y), X, Y, seed)
+    G = _row_map(f"I - {lam * mu}*{F.name}", F.domain, lambda X: X - lam * mu * _evaluate_rows(F, X))
+    return certify_lipschitz(G, 1.0 - lam * nu_constant(mu, eta, lip), samples, seed)

@@ -121,7 +121,7 @@ _FIXTURES = {
 }
 
 
-N_FIX_PROBES = 32  # points of T's declared Fix(T) that probe the VI of a problem file
+N_FIX_PROBES = 32  # points of T's declared Fix(T) in C that probe the VI of a problem file
 
 # Each fixed section is a tuple of fields, as a catalog entry is; the walks
 # below read the sections, and report their faults, in this order.
@@ -291,6 +291,22 @@ class BuiltProblem:
     trace_path: Optional[str]
 
 
+def _moved_into(C: ConvexSet, fix_set: ConvexSet, points: np.ndarray) -> np.ndarray:
+    """``points`` of Fix(T), each one outside C projected onto the intersection
+    K of Fix(T) and C, or all as drawn if K is empty.  An empty K's ``project``
+    gives a best-approximation point, so each moved point is checked in both."""
+    K, moved = Intersection((fix_set, C)), points.copy()
+    try:
+        for x in moved:  # each row a view of ``moved``
+            if not C.contains(x):
+                x[:] = K.project(x)
+                if not (fix_set.contains(x) and C.contains(x)):
+                    return points
+    except NumericError:  # Dykstra did not converge, or the projection overflowed
+        return points
+    return moved
+
+
 def build_problem(raw: RawConfig) -> BuiltProblem:
     """Turn a validated raw config into solver objects.
 
@@ -314,11 +330,13 @@ def build_problem(raw: RawConfig) -> BuiltProblem:
             _check_dim("reference", reference.size, dimension)
         if seed < 0:
             raise ProblemFileSemanticError(f"problem.seed = {seed} is below 0")
-        fix_set, rng = T.meta.fix_set, np.random.default_rng(seed)
+        fix_set, rng, fix_points = T.meta.fix_set, np.random.default_rng(seed), None
         with np.errstate(over="ignore", invalid="ignore"):  # a draw may overflow
-            fix_points = None if fix_set is None else _sample_rows(fix_set, rng, N_FIX_PROBES)
-        if fix_points is not None and not np.isfinite(fix_points).all():
-            raise ProblemFileSemanticError(f"a point drawn from Fix(T) of T = {T.name} is not finite")
+            if fix_set is not None:
+                fix_points = _sample_rows(fix_set, rng, N_FIX_PROBES)
+                if not np.isfinite(fix_points).all():
+                    raise ProblemFileSemanticError(f"a point drawn from Fix(T) of T = {T.name} is not finite")
+                fix_points = _moved_into(C, fix_set, fix_points)
         base = ProblemSpec(
             C=C, T=T, S=S, V=V, F=F, rho=rho, mu=mu, schedule=schedule, mode=FullPower(),
             x1=x1, fix_points=fix_points, reference=reference, seed=seed,

@@ -7,8 +7,8 @@ One iteration, for n >= 1:
     x_{n+1} = P_C[ alpha_n * rho * V(x_n) + z_n - alpha_n * mu * F(z_n) ]
 
 The scheme converges to the unique solution of the variational inequality
-<(rho*V - mu*F) x*, x - x*> <= 0 over the fixed-point set of T; with V = 0
-and F = I that solution is the minimum-norm fixed point.
+<(rho*V - mu*F) x*, x - x*> <= 0 over the fixed points of T in C; with
+V = 0 and F = I that solution is the minimum-norm such point.
 """
 from __future__ import annotations
 
@@ -59,8 +59,9 @@ class ProblemSpec:
 
     ``x1`` and ``reference`` are finite points of dimension ``C.dim``.
     ``fix_points``, when given, is an ``(m, C.dim)`` array of m >= 1 finite
-    points asserted to lie in Fix(T); ``validate_problem`` checks their
-    residuals and ``solve`` probes the variational inequality at them.
+    points asserted to be fixed points of T in C, over which the variational
+    inequality is posed; ``validate_problem`` checks their residuals and
+    ``solve`` probes the variational inequality at them.
     """
 
     C: ConvexSet

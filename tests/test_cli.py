@@ -498,6 +498,15 @@ class TestBadValues:
             "probe failed: probe point is not within every member set\n"
         )
 
+    def test_vi_probes_lie_in_fix_t_and_c(self, tmp_path):
+        # C cuts the plane x + y = 2 down to a chord; probes drawn off that chord,
+        # such as (1, 1), left vi_residual at 13.155 at the solution
+        argv = ["--set", "set.center=3 -1", "--set", "set.radius=1.5", "--set", "problem.x1=3 -1"]
+        rc, out, err = hfp_bench("run", PROBLEMS_DIR / "minnorm.cfg", *argv, cwd=tmp_path)
+        assert (rc, err) == (cli.EXIT_OK, "")
+        assert "iterations     : 81870\n" in out
+        assert "vi_residual    : 0.0\n" in out
+
 
 class TestSelfMappings:
     @pytest.mark.parametrize("command", ["validate", "run"])
@@ -564,6 +573,13 @@ class TestSelfMappings:
 
 
 class TestSweep:
+    def test_q_values_needs_a_value(self, minnorm, capsys):
+        # with no values it fell back to q = p + --q-offset and exited 0
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["sweep", minnorm, "--p-values", "0.5", "--q-values", "--max-iters", "50"])
+        assert exc.value.code == cli.EXIT_PARSE
+        assert "argument --q-values: expected at least one argument" in capsys.readouterr().err
+
     def test_sweep_rejects_a_point_that_fails_the_problem(self, minnorm, tmp_path, capsys):
         # mu = 3 fails the problem at every (p, q), so no point is admissible,
         # as validate and run of the problem exit 1

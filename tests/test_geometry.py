@@ -142,6 +142,15 @@ class TestDykstra:
         for member in inter.members:
             assert member.contains(p, tol=1e-6)
 
+    def test_probe_that_does_not_converge(self):
+        # two balls that touch at (2, 1): Dykstra creeps towards it, a cycle at a time
+        inter = Intersection((Ball((1, 1), 1), Ball((3, 1), 1)))
+        with pytest.raises(ProblemDefinitionError, match=(
+            r"^intersection feasibility probe failed: Dykstra did not converge within "
+            rf"{geometry.DYKSTRA_MAX_CYCLES} cycles \(last cycle change "
+        )):
+            inter.feasible_point()
+
     def test_nested_intersections_are_flattened(self):
         # one Dykstra loop over catalog sets, in order: the same bits as the flat set
         rng = np.random.default_rng(7)

@@ -436,6 +436,8 @@ def test_fixture_rejects_bad_parameters(build, message):
         (lambda: certify_strong_monotone(identity_map(DOMAIN), 0.0), "claimed modulus must be positive"),
         (lambda: certify_nearly_nonexpansive(identity_map(DOMAIN), zero_sequence(), 0),
          "n_max must be at least 1"),
+        (lambda: certify_nearly_nonexpansive(linear_map(DOMAIN, np.diag([2.0, 3.0])), zero_sequence(), 1),
+         "near-nonexpansiveness needs a self-mapping of the domain"),
         (lambda: certify_combined_monotone(identity_map(DOMAIN), sahu_step(), 0.0, 1.0),
          "V must declare a Lipschitz constant"),
         (lambda: nu_constant(1.0, 0.0, 1.0), "eta and L must be positive"),
@@ -444,8 +446,8 @@ def test_fixture_rejects_bad_parameters(build, message):
          "F must declare Lipschitz and strong-monotonicity constants"),
     ],
     ids=["negative_lipschitz", "zero_modulus", "nan_lipschitz", "nan_modulus", "claimed_lipschitz",
-         "claimed_modulus", "n_max", "combined_v_without_gamma", "nu_eta", "nu_lipschitz",
-         "yamada_f_without_constants"],
+         "claimed_modulus", "n_max", "nearly_not_self_mapping", "combined_v_without_gamma", "nu_eta",
+         "nu_lipschitz", "yamada_f_without_constants"],
 )
 def test_operator_rejects_bad_arguments(call, message):
     with pytest.raises(UsageError, match=f"^{re.escape(message)}$"):
