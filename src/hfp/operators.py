@@ -81,6 +81,9 @@ class OperatorMeta:
 class MappingHandle:
     """An evaluatable mapping on a convex domain with declared metadata.
 
+    ``evaluate`` must be a deterministic function of its argument's bits: a
+    raw walk of :func:`_powers` stops at a bit-exact fixed point, and the
+    powers it gives for several n may then be one array object.
     ``rows(n, X)``, when given, is T^n x for each row x of ``X``, to the bits
     of :func:`_power`; it is asked for n > 1 only with a closed-form power.
     Certifiers use it in place of a per-row ``evaluate``.
@@ -130,17 +133,22 @@ def _powers(T: MappingHandle, ns, x: np.ndarray) -> dict:
     """{n: T^n x} for ascending positive ``ns``: one closed-form call each, or
     one raw walk to max(ns) that tests each iterate of a self-mapping for
     membership.  A non-finite one fails the test without a numpy warning, on
-    an ``Intersection`` too, whose ``_distance`` is then NaN at once."""
+    an ``Intersection`` too, whose ``_distance`` is then NaN at once.
+
+    The walk stops at an iterate with the bytes of the one before it: T fixes
+    it to the bit, so it is T^n x for every n still wanted, as one object."""
     if T.meta.closed_form_power is not None:
         return {n: _power(T, n, x) for n in ns}
     kept, wanted = {}, set(ns)
     with np.errstate(over="ignore", invalid="ignore"):  # a huge iterate overflows, inf * 0
         for k in range(1, max(ns) + 1):
-            x = np.asarray(T.evaluate(x), dtype=float)
+            previous, x = x.tobytes(), np.asarray(T.evaluate(x), dtype=float)
             if T.maps_into_domain and not T.domain._distance(x) <= MEMBERSHIP_TOL:
                 raise NumericError(f"iterate of {T.name} left its domain at power step {k}")
             if k in wanted:
                 kept[k] = x
+            if x.tobytes() == previous:  # not ==, which would take -0.0 for +0.0
+                return {n: kept.get(n, x) for n in ns}
     return kept
 
 

@@ -39,7 +39,7 @@ from .operators import (
 from .schedules import Schedule, _trend_ok, _trend_probes, validate_schedule
 
 FIX_POINT_TOL = 1e-6
-POWER_BUDGET = 10**8  # raw T evaluations one solve or step may spend
+POWER_BUDGET = 10**8  # nominal raw T steps, n at iteration n, one solve or step may count
 _BLOCK_FLOATS = 16384  # floats that one block of solve's pending iterates may hold
 
 
@@ -235,8 +235,9 @@ def step(p: ProblemSpec, n: int, x: np.ndarray):
 def _step(p, n, x, alpha, beta, raw_spent) -> np.ndarray:
     """Kernel of :func:`step`; a non-finite point to project is a NumericError.
 
-    ``raw_spent`` is the number of raw T evaluations that FullPower without a
-    closed form has spent through iteration n, checked against POWER_BUDGET.
+    ``raw_spent`` is the nominal count of raw T steps, n(n+1)/2 in a solve, that
+    FullPower without a closed form has through iteration n, checked against
+    POWER_BUDGET; a walk that stops at a bit-exact fixed point counts in full.
     """
     if beta == 0.0:
         y = x

@@ -13,7 +13,7 @@ import functools
 import numpy as np
 import pytest
 
-from hfp import problemfile
+from hfp import operators, problemfile
 from hfp.fixtures import contraction, identity_map, sahu_step, zero_map
 from hfp.geometry import (
     MEMBERSHIP_TOL,
@@ -29,7 +29,14 @@ from hfp.geometry import (
     norm,
     project,
 )
-from hfp.operators import MappingHandle, _power, _powers, power
+from hfp.operators import (
+    MappingHandle,
+    NearnessSequence,
+    _power,
+    _powers,
+    certify_nearly_nonexpansive,
+    power,
+)
 from hfp.schedules import power_schedule
 from hfp import solver
 from hfp.solver import (
@@ -123,6 +130,86 @@ def test_a_raw_walk_counts_its_steps_from_the_start():
     escape = MappingHandle("escape", lambda x: x + 0.25, Box(np.zeros(1), np.ones(1)), True)
     with pytest.raises(NumericError, match="^iterate of escape left its domain at power step 4$"):
         _powers(escape, (2, 5), np.array([0.1]))
+    for ns in ((4,), (1, 3, 8), (6, 7)):  # as a full walk names it
+        with pytest.raises(NumericError) as full:
+            _full_walk(escape, ns, np.array([0.1]))
+        with pytest.raises(NumericError, match="at power step 4$") as walked:
+            _powers(escape, ns, np.array([0.1]))
+        assert str(walked.value) == str(full.value)
+
+
+def _full_walk(T, ns, x):
+    """T^n x for each n in ``ns`` by every raw step to max(ns), as the walk
+    ran before it stopped at a bit-exact fixed point."""
+    kept = {}
+    for k in range(1, max(ns) + 1):
+        x = np.asarray(T.evaluate(x), dtype=float)
+        if T.maps_into_domain and not T.domain._distance(x) <= MEMBERSHIP_TOL:
+            raise NumericError(f"iterate of {T.name} left its domain at power step {k}")
+        if k in ns:
+            kept[k] = x
+    return kept
+
+
+def _counted_raw(name, f, domain):
+    """A raw self-mapping of ``domain`` that evaluates ``f`` and the list of
+    points it was called at."""
+    calls = []
+
+    def evaluate(x):
+        calls.append(x)
+        return f(x)
+    return MappingHandle(name, evaluate, domain, True), calls
+
+
+def _bits(powers: dict) -> list:
+    return [(n, y.shape, y.tobytes()) for n, y in powers.items()]
+
+
+@pytest.mark.parametrize("name, f, x, ns, steps", [
+    # 0.1, 0.35, 0.6, 0.85, 1.0, 1.0: settled at step 5, before n = 6
+    ("clamped", lambda x: np.minimum(x + 0.25, 1.0), 0.1, (6, 9, 40), 5),
+    # 2^-k reaches the least subnormal at k = 1074, then 0.0 at k = 1075 and 1076
+    ("halving", lambda x: x / 2, 1.0, (3, 1074, 1500, 5000), 1076),
+    ("halving", lambda x: x / 2, 1.0, (1075, 1076, 1077), 1076),
+    # 0.25, 0.75, 0.25, ...: a float cycle of period 2 is never one fixed point
+    ("flip", lambda x: 1.0 - x, 0.25, (1, 2, 7, 50), 50),
+    # -0.0 and +0.0 alternate; == takes them for one point, their bytes do not
+    ("negate", lambda x: -x, 0.0, (1, 2, 3, 10), 10),
+])
+def test_a_raw_walk_stops_where_t_fixes_its_iterate_to_the_bit(name, f, x, ns, steps):
+    T, calls = _counted_raw(name, f, Box(np.zeros(1), np.ones(1)))
+    expected = _bits(_full_walk(T, ns, np.array([x])))
+    calls.clear()
+    walked = _powers(T, ns, np.array([x]))
+    assert _bits(walked) == expected
+    assert len(calls) == steps
+    if name == "negate":
+        assert [bool(np.signbit(walked[n][0])) for n in ns] == [n % 2 == 1 for n in ns]
+
+
+def test_certifiers_of_a_settling_raw_t_equal_those_of_full_walks(monkeypatch):
+    # x -> (x + c) / 2 settles to the bit within about 60 steps from a point of the ball
+    c = np.array([0.5, -0.25])
+    T, calls = _counted_raw("halfway", lambda x: 0.5 * (x + c), Ball(np.zeros(2), 2.0))
+    seq = NearnessSequence(lambda n: 0.0)
+    probes = [np.array([1.5, 0.5]), np.array([-1.0, 1.0]), c.copy()]
+    schedule = power_schedule(1.0, 0.5, 1.0, 0.9)
+
+    def both():
+        return (certify_nearly_nonexpansive(T, seq, 200, samples=40, seed=3),
+                solver.check_power_regularity(T, schedule, probes, horizon=10**3))
+
+    cert, regularity = both()
+    walked = len(calls)
+    calls.clear()
+    monkeypatch.setattr(operators, "_powers", _full_walk)
+    monkeypatch.setattr(solver, "_powers", _full_walk)
+    full_cert, full_regularity = both()
+    assert cert == full_cert
+    assert regularity.per_probe == full_regularity.per_probe
+    assert regularity.passed == full_regularity.passed
+    assert walked < len(calls) / 3  # the walks stopped where they settled
 
 
 def _intersections(rng, d):

@@ -288,6 +288,26 @@ class TestSolve:
         with pytest.raises(NumericError, match="power budget exhausted: 101 raw evaluations exceed 100;"):
             step(spec, 101, spec.x1)
 
+    def test_power_budget_counts_nominal_steps(self, monkeypatch):
+        # a raw identity settles at its first step, yet iteration n still
+        # counts n steps: the budget runs out at iteration 14, as above
+        monkeypatch.setattr(solver, "POWER_BUDGET", 100)
+        C = Ball(np.zeros(2), 10.0)
+        calls = []
+
+        def evaluate(x):
+            calls.append(x)
+            return np.asarray(x, dtype=float).copy()
+        ident = identity_map(C)
+        raw = dataclasses.replace(ident, evaluate=evaluate, rows=None,
+                                  meta=dataclasses.replace(ident.meta, closed_form_power=None))
+        spec = make_spec(T=raw)
+        with pytest.raises(NumericError, match="power budget exhausted: 105 raw evaluations exceed 100;"):
+            solve(spec, budget_stop(50))
+        assert len(calls) == 13  # one raw step for each of iterations 1..13
+        with pytest.raises(NumericError, match="power budget exhausted: 101 raw evaluations exceed 100;"):
+            step(spec, 101, spec.x1)
+
     def test_zero_t_has_a_closed_form_power(self):
         # T = zero used to walk n raw steps and exhaust the power budget at once
         C = Ball(np.zeros(2), 10.0)
